@@ -8,19 +8,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"dcm/cmd/internal/obs"
 	"dcm/internal/chaos"
 	"dcm/internal/experiments"
 	"dcm/internal/invariant"
 	"dcm/internal/metrics"
 	"dcm/internal/resilience"
 	"dcm/internal/runner"
-	"dcm/internal/trace"
 )
 
 func main() {
@@ -67,7 +66,7 @@ func run(args []string) error {
 		list           = fs.Bool("list", false, "list bundled scenarios and exit")
 		seeds          = fs.String("seeds", "", "comma-separated seed list; runs every seed concurrently and prints a summary table sorted by seed (overrides -seed)")
 		parallel       = fs.Int("parallel", 0, "worker goroutines for multi-seed runs (0 = GOMAXPROCS)")
-		reqTrace       = fs.String("trace", "", "write the request-level trace to this JSONL file and print the per-tier latency breakdown (single-seed runs only)")
+		reqTrace       = fs.String("reqtrace", "", "write the request-level trace to this JSONL file and print the per-tier latency breakdown (single-seed runs only)")
 		auditOut       = fs.String("audit", "", "write the controller decision audit log to this JSONL file and print its reason-code summary (single-seed runs only)")
 		pprofOut       = fs.String("pprof", "", "write a CPU profile of the run to this file")
 		resil          = fs.String("resilience", "off", "data-plane resilience preset: off | timeout | retries | full")
@@ -100,17 +99,17 @@ func run(args []string) error {
 		return fmt.Errorf("-parallel only applies to multi-seed runs: pass -seeds as well")
 	}
 	if *seeds != "" && (*reqTrace != "" || *auditOut != "") {
-		return fmt.Errorf("-trace and -audit produce single-run detail output: drop -seeds or the detail flags")
+		return fmt.Errorf("-reqtrace and -audit produce single-run detail output: drop -seeds or the detail flags")
 	}
 	if *retryStorm && (*seeds != "" || *reqTrace != "" || *auditOut != "") {
-		return fmt.Errorf("-retrystorm is a self-contained experiment: drop -seeds, -trace and -audit")
+		return fmt.Errorf("-retrystorm is a self-contained experiment: drop -seeds, -reqtrace and -audit")
 	}
 	if *degradeArm && !*retryStorm {
 		return fmt.Errorf("-degrade extends the retry-storm ladder: pass -retrystorm as well")
 	}
 	runner.SetDefaultWorkers(*parallel)
 
-	stopProfile, err := startCPUProfile(*pprofOut)
+	stopProfile, err := obs.StartCPUProfile(*pprofOut)
 	if err != nil {
 		return err
 	}
@@ -236,7 +235,7 @@ func run(args []string) error {
 		}
 		fmt.Print(tb.String())
 		if *invariants {
-			return reportInvariants(results...)
+			return obs.ReportInvariants(results...)
 		}
 		return nil
 	}
@@ -247,12 +246,12 @@ func run(args []string) error {
 	}
 
 	if *reqTrace != "" {
-		if err := writeRequestTrace(res, *reqTrace); err != nil {
+		if err := obs.WriteRequestTrace(res, *reqTrace); err != nil {
 			return err
 		}
 	}
 	if *auditOut != "" {
-		if err := writeAuditLog(res, *auditOut); err != nil {
+		if err := obs.WriteAuditLog(res, *auditOut); err != nil {
 			return err
 		}
 	}
@@ -290,95 +289,7 @@ func run(args []string) error {
 		fmt.Println(disp)
 	}
 	if *invariants {
-		return reportInvariants(res)
+		return obs.ReportInvariants(res)
 	}
-	return nil
-}
-
-// reportInvariants prints the invariant-checker verdict for each result
-// and returns an error if any run recorded structural-law violations.
-func reportInvariants(results ...*experiments.ScenarioResult) error {
-	bad := 0
-	for _, r := range results {
-		if len(r.InvariantViolations) > 0 {
-			bad += len(r.InvariantViolations)
-			fmt.Printf("invariant violations (%s):\n%s", r.Kind, invariant.Render(r.InvariantViolations))
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d invariant violation(s)", bad)
-	}
-	fmt.Println("invariants: clean (0 violations)")
-	return nil
-}
-
-// startCPUProfile begins a CPU profile written to path and returns the
-// stop function (a no-op for an empty path).
-func startCPUProfile(path string) (func(), error) {
-	if path == "" {
-		return func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
-}
-
-// writeRequestTrace exports the run's raw span events as JSONL and prints
-// the per-tier latency breakdown reconstructed from them.
-func writeRequestTrace(res *experiments.ScenarioResult, path string) error {
-	rt := res.RequestTrace()
-	if rt == nil {
-		return fmt.Errorf("no request trace captured")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rt.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d trace events to %s (%d dropped)\n\n", rt.Len(), path, rt.Dropped())
-	fmt.Print(trace.RenderBreakdown(res.LatencyBreakdown))
-	fmt.Println()
-	fmt.Println("per-tier histograms:")
-	fmt.Print(experiments.RenderTierLatency(res))
-	fmt.Println()
-	return nil
-}
-
-// writeAuditLog exports the controller decision log as JSONL and prints
-// its reason-code summary.
-func writeAuditLog(res *experiments.ScenarioResult, path string) error {
-	log := res.DecisionLog()
-	if log == nil {
-		return fmt.Errorf("controller does not support decision auditing")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := log.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d audited decisions to %s\n\n", log.Len(), path)
-	fmt.Print(log.RenderSummary())
-	fmt.Println()
 	return nil
 }

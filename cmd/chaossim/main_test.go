@@ -122,11 +122,11 @@ func TestFlagValidation(t *testing.T) {
 	t.Parallel()
 	cases := [][]string{
 		{"-parallel", "-1"},
-		{"-parallel", "2"},                    // -parallel without -seeds
-		{"-seeds", "1,2", "-trace", "/tmp/x"}, // detail flag with -seeds
-		{"-seeds", "1,2", "-audit", "/tmp/x"}, // detail flag with -seeds
-		{"-seeds", ""},                        // empty seed list
-		{"-seeds", "1,notanumber"},            // unparseable seed
+		{"-parallel", "2"},                       // -parallel without -seeds
+		{"-seeds", "1,2", "-reqtrace", "/tmp/x"}, // detail flag with -seeds
+		{"-seeds", "1,2", "-audit", "/tmp/x"},    // detail flag with -seeds
+		{"-seeds", ""},                           // empty seed list
+		{"-seeds", "1,notanumber"},               // unparseable seed
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -164,7 +164,7 @@ func TestRunWithTraceAndAudit(t *testing.T) {
 	profPath := filepath.Join(dir, "cpu.prof")
 	err := run([]string{
 		"-scenario", "tomcat-crash-midramp", "-every", "120",
-		"-trace", tracePath, "-audit", auditPath, "-pprof", profPath,
+		"-reqtrace", tracePath, "-audit", auditPath, "-pprof", profPath,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,43 +6,24 @@
 // With -topology the command instead drives the named service-graph
 // topology (see topologies/) through the graph experiment: bursty
 // arrivals, per-node DCM controllers on armed nodes, and the per-node
-// ledger report. -seed, -timeout and -invariants apply; the
-// chain-scenario flags do not.
+// ledger report. -seed, -timeout, -invariants and -pprof apply; any
+// other flag set alongside -topology is rejected.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
+	"strings"
 	"time"
 
+	"dcm/cmd/internal/obs"
 	"dcm/internal/experiments"
 	"dcm/internal/invariant"
 	"dcm/internal/metrics"
 	"dcm/internal/resilience"
 	"dcm/internal/trace"
 )
-
-// startCPUProfile begins a CPU profile written to path and returns the
-// stop function (a no-op for an empty path).
-func startCPUProfile(path string) (func(), error) {
-	if path == "" {
-		return func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -74,7 +55,23 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfile, err := startCPUProfile(*pprofOut)
+	if *topologyFile != "" {
+		// The graph experiment has its own workload and controllers, so a
+		// chain-scenario flag next to -topology would be silently ignored.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "topology", "seed", "timeout", "invariants", "pprof":
+			default:
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("%s not supported with -topology (only -seed, -timeout, -invariants and -pprof apply)",
+				strings.Join(ignored, ", "))
+		}
+	}
+	stopProfile, err := obs.StartCPUProfile(*pprofOut)
 	if err != nil {
 		return err
 	}
@@ -137,12 +134,12 @@ func run(args []string) error {
 	}
 
 	if *reqTrace != "" {
-		if err := writeRequestTrace(res, *reqTrace); err != nil {
+		if err := obs.WriteRequestTrace(res, *reqTrace); err != nil {
 			return err
 		}
 	}
 	if *auditOut != "" {
-		if err := writeAuditLog(res, *auditOut); err != nil {
+		if err := obs.WriteAuditLog(res, *auditOut); err != nil {
 			return err
 		}
 	}
@@ -202,76 +199,8 @@ func run(args []string) error {
 		fmt.Println(disp)
 	}
 	if *invariants {
-		return reportInvariants(results...)
+		return obs.ReportInvariants(results...)
 	}
-	return nil
-}
-
-// reportInvariants prints the invariant-checker verdict for each result
-// and returns an error if any run recorded structural-law violations.
-func reportInvariants(results ...*experiments.ScenarioResult) error {
-	bad := 0
-	for _, r := range results {
-		if len(r.InvariantViolations) > 0 {
-			bad += len(r.InvariantViolations)
-			fmt.Printf("invariant violations (%s):\n%s", r.Kind, invariant.Render(r.InvariantViolations))
-		}
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d invariant violation(s)", bad)
-	}
-	fmt.Println("invariants: clean (0 violations)")
-	return nil
-}
-
-// writeRequestTrace exports the run's raw span events as JSONL and prints
-// the per-tier latency breakdown reconstructed from them.
-func writeRequestTrace(res *experiments.ScenarioResult, path string) error {
-	rt := res.RequestTrace()
-	if rt == nil {
-		return fmt.Errorf("no request trace captured")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rt.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d trace events to %s (%d dropped)\n\n", rt.Len(), path, rt.Dropped())
-	fmt.Print(trace.RenderBreakdown(res.LatencyBreakdown))
-	fmt.Println()
-	fmt.Println("per-tier histograms:")
-	fmt.Print(experiments.RenderTierLatency(res))
-	fmt.Println()
-	return nil
-}
-
-// writeAuditLog exports the controller decision log as JSONL and prints
-// its reason-code summary.
-func writeAuditLog(res *experiments.ScenarioResult, path string) error {
-	log := res.DecisionLog()
-	if log == nil {
-		return fmt.Errorf("controller does not support decision auditing")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := log.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d audited decisions to %s\n\n", log.Len(), path)
-	fmt.Print(log.RenderSummary())
-	fmt.Println()
 	return nil
 }
 

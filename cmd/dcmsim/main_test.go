@@ -19,6 +19,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-bad-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	// Chain-scenario flags next to -topology are rejected up front rather
+	// than silently ignored.
+	err := run([]string{"-topology", "../../topologies/chain3.json", "-reqtrace", "x.jsonl", "-audit", "y.jsonl"})
+	const want = "-audit, -reqtrace not supported with -topology (only -seed, -timeout, -invariants and -pprof apply)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("-topology with chain flags: err = %v, want %q", err, want)
+	}
 }
 
 func TestRunShortScenarioFromFile(t *testing.T) {

@@ -14,9 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"time"
 
+	"dcm/cmd/internal/obs"
 	"dcm/internal/experiments"
 	"dcm/internal/invariant"
 	"dcm/internal/runner"
@@ -52,7 +52,7 @@ func run(args []string) error {
 		return err
 	}
 	runner.SetDefaultWorkers(*parallel)
-	stopProfile, err := startCPUProfile(*pprofOut)
+	stopProfile, err := obs.StartCPUProfile(*pprofOut)
 	if err != nil {
 		return err
 	}
@@ -202,26 +202,6 @@ func run(args []string) error {
 		fmt.Println("invariants: clean (0 violations)")
 	}
 	return nil
-}
-
-// startCPUProfile begins a CPU profile written to path and returns the
-// stop function (a no-op for an empty path).
-func startCPUProfile(path string) (func(), error) {
-	if path == "" {
-		return func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
 }
 
 func printWindow(series []float64, at int, label string) {

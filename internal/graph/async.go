@@ -53,7 +53,7 @@ func (a *App) deliverAsync(e *edge, prof *resolvedProfile) {
 		return
 	}
 	req := a.reqTracer.Begin()
-	a.visitNode(req, 0, e.dst, 0, prof, false, nil, func(disp metrics.Disposition) {
+	a.visitNode(req, 0, e.dst, 0, prof, false, func(disp metrics.Disposition) {
 		a.asyncInFlight--
 		a.asyncDisp.Observe(disp)
 	})

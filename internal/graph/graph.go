@@ -154,9 +154,6 @@ type App struct {
 	profStats  map[string]*profileAccum
 	defaultPr  resolvedProfile
 
-	traceRemaining int
-	traces         []*RequestTrace
-
 	reqTracer *trace.RequestTracer
 
 	// Resilience state. breakers is keyed by server name and empty unless

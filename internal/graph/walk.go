@@ -2,7 +2,6 @@ package graph
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"dcm/internal/connpool"
@@ -135,7 +134,6 @@ func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration,
 		prof = &a.defaultPr
 	}
 	critical := cls != nil && cls.Priority > 0
-	tr := a.beginTrace(mixed)
 	req := a.reqTracer.Begin()
 	a.reqTracer.Record(req, trace.EventArrive, "", "", start)
 	if cls != nil {
@@ -198,10 +196,6 @@ func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration,
 				acc.errored.Inc(1)
 			}
 		}
-		if tr != nil {
-			tr.Total = rt
-			tr.OK = ok
-		}
 		if done != nil {
 			done(rt, ok)
 		}
@@ -220,14 +214,14 @@ func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration,
 		return
 	}
 
-	a.visitNode(req, deadline, a.entry, session, prof, critical, tr, finish)
+	a.visitNode(req, deadline, a.entry, session, prof, critical, finish)
 }
 
 // visitNode runs one visit of node n reached without a connection pool:
 // pick a member, acquire a thread, run the burst, descend the out-edges
 // with the thread held, then release and report. It serves the entry node
 // (session-sticky picks) and async deliveries.
-func (a *App) visitNode(req uint64, deadline sim.Time, n *node, session uint64, prof *resolvedProfile, critical bool, tr *RequestTrace, done func(metrics.Disposition)) {
+func (a *App) visitNode(req uint64, deadline sim.Time, n *node, session uint64, prof *resolvedProfile, critical bool, done func(metrics.Disposition)) {
 	done = a.ledger(n, done)
 	var be lb.Backend
 	var err error
@@ -264,15 +258,13 @@ func (a *App) visitNode(req uint64, deadline sim.Time, n *node, session uint64, 
 			if sess.TimedOut() {
 				sess.Release()
 				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, n.spec.Name, m.Name(), start)
 				a.breakerRecord(m, metrics.DispositionTimeout)
 				done(metrics.DispositionTimeout)
 				return
 			}
-			a.descend(req, deadline, n, m, prof, critical, tr, func(disp metrics.Disposition) {
+			a.descend(req, deadline, n, m, prof, critical, func(disp metrics.Disposition) {
 				sess.Release()
 				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, n.spec.Name, m.Name(), start)
 				if disp == metrics.DispositionOK && sess.Killed() {
 					disp = metrics.DispositionError
 				}
@@ -285,17 +277,17 @@ func (a *App) visitNode(req uint64, deadline sim.Time, n *node, session uint64, 
 
 // descend walks a node's out-edges after its burst completed. A cache hit
 // short-circuits: the reply is served locally and no out-edge is visited.
-func (a *App) descend(req uint64, deadline sim.Time, n *node, m *Member, prof *resolvedProfile, critical bool, tr *RequestTrace, done func(metrics.Disposition)) {
+func (a *App) descend(req uint64, deadline sim.Time, n *node, m *Member, prof *resolvedProfile, critical bool, done func(metrics.Disposition)) {
 	if n.isCache() && a.cacheLookup(n) {
 		done(metrics.DispositionOK)
 		return
 	}
-	a.walkEdges(req, deadline, n, m, prof, critical, tr, 0, done)
+	a.walkEdges(req, deadline, n, m, prof, critical, 0, done)
 }
 
 // walkEdges runs the out-edges of n in declaration order, each to
 // completion before the next starts; a failed edge aborts the remainder.
-func (a *App) walkEdges(req uint64, deadline sim.Time, n *node, m *Member, prof *resolvedProfile, critical bool, tr *RequestTrace, pos int, done func(metrics.Disposition)) {
+func (a *App) walkEdges(req uint64, deadline sim.Time, n *node, m *Member, prof *resolvedProfile, critical bool, pos int, done func(metrics.Disposition)) {
 	if pos >= len(n.outs) {
 		done(metrics.DispositionOK)
 		return
@@ -307,22 +299,22 @@ func (a *App) walkEdges(req uint64, deadline sim.Time, n *node, m *Member, prof 
 			done(disp)
 			return
 		}
-		a.walkEdges(req, deadline, n, m, prof, critical, tr, pos+1, done)
+		a.walkEdges(req, deadline, n, m, prof, critical, pos+1, done)
 	}
 	switch e.spec.Kind {
 	case EdgeAsync:
 		a.fireAsync(e, visits, prof)
 		next(metrics.DispositionOK)
 	case EdgeParallel:
-		a.visitParallel(req, deadline, e, m, prof, critical, tr, visits, next)
+		a.visitParallel(req, deadline, e, m, prof, critical, visits, next)
 	default:
-		a.visitSerial(req, deadline, e, m, prof, critical, tr, 0, visits, next)
+		a.visitSerial(req, deadline, e, m, prof, critical, 0, visits, next)
 	}
 }
 
 // visitSerial issues the edge's visits sequentially, checking the
 // deadline before each call — the chain's DB-query loop, verbatim.
-func (a *App) visitSerial(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, tr *RequestTrace, issued, visits int, done func(metrics.Disposition)) {
+func (a *App) visitSerial(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, issued, visits int, done func(metrics.Disposition)) {
 	if issued >= visits {
 		done(metrics.DispositionOK)
 		return
@@ -331,23 +323,19 @@ func (a *App) visitSerial(req uint64, deadline sim.Time, e *edge, src *Member, p
 		done(metrics.DispositionTimeout)
 		return
 	}
-	spanName := e.dst.spec.Name
-	if e.pooled() {
-		spanName = fmt.Sprintf("%s-query-%d", e.dst.spec.Name, issued+1)
-	}
-	a.issueCall(req, deadline, e, src, spanName, prof, critical, tr, func(disp metrics.Disposition) {
+	a.issueCall(req, deadline, e, src, prof, critical, func(disp metrics.Disposition) {
 		if disp != metrics.DispositionOK {
 			done(disp)
 			return
 		}
-		a.visitSerial(req, deadline, e, src, prof, critical, tr, issued+1, visits, done)
+		a.visitSerial(req, deadline, e, src, prof, critical, issued+1, visits, done)
 	})
 }
 
 // visitParallel fans the edge's visits out concurrently and joins them:
 // every branch runs to completion, then the join reports once — the first
 // failed branch's disposition, or OK when all branches succeeded.
-func (a *App) visitParallel(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, tr *RequestTrace, visits int, done func(metrics.Disposition)) {
+func (a *App) visitParallel(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, visits int, done func(metrics.Disposition)) {
 	if visits <= 0 {
 		done(metrics.DispositionOK)
 		return
@@ -360,8 +348,7 @@ func (a *App) visitParallel(req uint64, deadline sim.Time, e *edge, src *Member,
 	remaining := visits
 	for i := 0; i < visits; i++ {
 		i := i
-		spanName := fmt.Sprintf("%s-call-%d", e.dst.spec.Name, i+1)
-		a.issueCall(req, deadline, e, src, spanName, prof, critical, tr, func(disp metrics.Disposition) {
+		a.issueCall(req, deadline, e, src, prof, critical, func(disp metrics.Disposition) {
 			disps[i] = disp
 			remaining--
 			if remaining > 0 {
@@ -382,10 +369,10 @@ func (a *App) visitParallel(req uint64, deadline sim.Time, e *edge, src *Member,
 // issueCall makes one call over edge e from the src member: acquire a
 // connection when the edge is pooled (the residence window opens before
 // the pool wait), then visit the destination.
-func (a *App) issueCall(req uint64, deadline sim.Time, e *edge, src *Member, spanName string, prof *resolvedProfile, critical bool, tr *RequestTrace, done func(metrics.Disposition)) {
+func (a *App) issueCall(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, done func(metrics.Disposition)) {
 	start := a.eng.Now()
 	if !e.pooled() {
-		a.callTarget(req, deadline, e, nil, start, spanName, prof, critical, tr, done)
+		a.callTarget(req, deadline, e, nil, start, prof, critical, done)
 		return
 	}
 	src.pools[e.pos].AcquireDeadline(req, deadline, func(conn *connpool.Conn, acqDisp metrics.Disposition) {
@@ -393,14 +380,14 @@ func (a *App) issueCall(req uint64, deadline sim.Time, e *edge, src *Member, spa
 			done(acqDisp)
 			return
 		}
-		a.callTarget(req, deadline, e, conn, start, spanName, prof, critical, tr, done)
+		a.callTarget(req, deadline, e, conn, start, prof, critical, done)
 	})
 }
 
 // callTarget runs one visit of edge e's destination: pick a member,
 // acquire a thread, run the burst, descend, then release the thread (and
 // the upstream connection) and report. conn is nil for unpooled edges.
-func (a *App) callTarget(req uint64, deadline sim.Time, e *edge, conn *connpool.Conn, start sim.Time, spanName string, prof *resolvedProfile, critical bool, tr *RequestTrace, done func(metrics.Disposition)) {
+func (a *App) callTarget(req uint64, deadline sim.Time, e *edge, conn *connpool.Conn, start sim.Time, prof *resolvedProfile, critical bool, done func(metrics.Disposition)) {
 	n := e.dst
 	done = a.ledger(n, done)
 	be, err := n.balancer.Pick()
@@ -451,7 +438,6 @@ func (a *App) callTarget(req uint64, deadline sim.Time, e *edge, conn *connpool.
 					conn.Release()
 				}
 				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, spanName, m.Name(), start)
 				switch {
 				case killed:
 					a.breakerRecord(m, metrics.DispositionError)
@@ -471,18 +457,16 @@ func (a *App) callTarget(req uint64, deadline sim.Time, e *edge, conn *connpool.
 					conn.Release()
 				}
 				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, spanName, m.Name(), start)
 				a.breakerRecord(m, metrics.DispositionTimeout)
 				done(metrics.DispositionTimeout)
 				return
 			}
-			a.descend(req, deadline, n, m, prof, critical, tr, func(disp metrics.Disposition) {
+			a.descend(req, deadline, n, m, prof, critical, func(disp metrics.Disposition) {
 				sess.Release()
 				if conn != nil {
 					conn.Release()
 				}
 				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.span(tr, spanName, m.Name(), start)
 				if disp == metrics.DispositionOK && sess.Killed() {
 					disp = metrics.DispositionError
 				}

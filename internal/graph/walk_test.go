@@ -8,6 +8,7 @@ import (
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
+	"dcm/internal/trace"
 )
 
 // newTestApp builds an app over spec with an attached invariant checker.
@@ -107,6 +108,55 @@ func TestParallelJoinAllBranchesOK(t *testing.T) {
 	}
 	if b := app.NodeVisits()["b"]; b.Started != 3 || b.Dispositions.OK != 3 {
 		t.Fatalf("node b ledger %+v, want 3 OK branch visits", b)
+	}
+	requireClean(t, app, chk)
+}
+
+// TestParallelEdgeTracesEveryVisit checks the request tracer sees each
+// branch of a parallel fan-out: with visits = k, every traced request
+// records k service-start/service-end pairs at the destination node and
+// one pair at the source.
+func TestParallelEdgeTracesEveryVisit(t *testing.T) {
+	t.Parallel()
+	const k, n = 3, 4
+	spec := Spec{
+		Name:  "fan",
+		Entry: "a",
+		Nodes: []NodeSpec{
+			{Name: "a", Model: testModel(), Threads: 4},
+			{Name: "b", Model: testModel(), Threads: 4},
+		},
+		Edges: []EdgeSpec{{From: "a", To: "b", Kind: EdgeParallel, Visits: k}},
+	}
+	eng, app, chk := newTestApp(t, spec, resilience.Config{})
+	tr := trace.NewRequestTracer(0)
+	app.SetRequestTracer(tr)
+	for i := 0; i < n; i++ {
+		app.Inject(nil)
+	}
+	if err := eng.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		req  uint64
+		node string
+		kind trace.EventKind
+	}
+	counts := map[key]int{}
+	for _, ev := range tr.Events() {
+		counts[key{ev.Req, ev.Tier, ev.Kind}]++
+	}
+	for req := uint64(1); req <= n; req++ {
+		for node, want := range map[string]int{"a": 1, "b": k} {
+			for _, kind := range []trace.EventKind{trace.EventServiceStart, trace.EventServiceEnd} {
+				if got := counts[key{req, node, kind}]; got != want {
+					t.Errorf("request %d node %s: %d %s events, want %d", req, node, got, kind, want)
+				}
+			}
+		}
+		if counts[key{req, "", trace.EventDone}] != 1 {
+			t.Errorf("request %d has no done event", req)
+		}
 	}
 	requireClean(t, app, chk)
 }

@@ -59,6 +59,129 @@ func TestRequestTracerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTraceCapturesServiceSpans follows single traced requests through
+// the tiers: each records one service span at web and app and one per
+// database query, every span names its server and sits inside the
+// request's arrive..done window.
+func TestTraceCapturesServiceSpans(t *testing.T) {
+	t.Parallel()
+	eng, app := newApp(t, fastConfig())
+	tr := trace.NewRequestTracer(0)
+	app.SetRequestTracer(tr)
+	const n = 2
+	for i := 0; i < n; i++ {
+		app.Inject(nil)
+	}
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{TierWeb: 1, TierApp: 1, TierDB: app.Config().QueriesPerRequest}
+	for req := uint64(1); req <= n; req++ {
+		var arrive, done time.Duration = -1, -1
+		starts := map[string]int{}
+		ends := map[string]int{}
+		var spans []trace.Event
+		for _, ev := range tr.Events() {
+			if ev.Req != req {
+				continue
+			}
+			switch ev.Kind {
+			case trace.EventArrive:
+				arrive = ev.At
+			case trace.EventDone:
+				done = ev.At
+			case trace.EventServiceStart:
+				starts[ev.Tier]++
+				spans = append(spans, ev)
+			case trace.EventServiceEnd:
+				ends[ev.Tier]++
+				spans = append(spans, ev)
+			}
+		}
+		if arrive < 0 || done < arrive {
+			t.Fatalf("request %d: arrive %v, done %v", req, arrive, done)
+		}
+		for tier, w := range want {
+			if starts[tier] != w || ends[tier] != w {
+				t.Errorf("request %d tier %s: %d starts, %d ends, want %d",
+					req, tier, starts[tier], ends[tier], w)
+			}
+		}
+		for _, ev := range spans {
+			if ev.Server == "" {
+				t.Errorf("request %d: span event without server: %+v", req, ev)
+			}
+			if ev.At < arrive || ev.At > done {
+				t.Errorf("request %d: span event outside [%v, %v]: %+v", req, arrive, done, ev)
+			}
+		}
+	}
+}
+
+// TestTraceFailedRequest: a request whose database member has failed ends
+// in a terminal fail event and never records done.
+func TestTraceFailedRequest(t *testing.T) {
+	t.Parallel()
+	eng, app := newApp(t, fastConfig())
+	if err := app.FailServer(TierDB, "db-1"); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.NewRequestTracer(0)
+	app.SetRequestTracer(tr)
+	app.Inject(nil)
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var fails, dones int
+	for _, ev := range tr.Events() {
+		switch ev.Kind {
+		case trace.EventFail:
+			fails++
+		case trace.EventDone:
+			dones++
+		}
+	}
+	if fails != 1 || dones != 0 {
+		t.Fatalf("terminal events: %d fail, %d done; want 1 fail, 0 done", fails, dones)
+	}
+	if last := tr.Events()[tr.Len()-1]; last.Kind != trace.EventFail {
+		t.Fatalf("last event %+v, want the terminal fail", last)
+	}
+}
+
+// TestTraceDisarmedByDefault: an app with no tracer attached records
+// nothing — neither before one is ever attached nor after it is detached.
+func TestTraceDisarmedByDefault(t *testing.T) {
+	t.Parallel()
+	eng, app := newApp(t, fastConfig())
+	tr := trace.NewRequestTracer(0)
+	app.Inject(nil)
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("unattached tracer recorded %d events", tr.Len())
+	}
+	app.SetRequestTracer(tr)
+	app.SetRequestTracer(nil)
+	app.Inject(nil)
+	if err := eng.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("detached tracer recorded %d events", tr.Len())
+	}
+	// Control: the same tracer, attached, does record.
+	app.SetRequestTracer(tr)
+	app.Inject(nil)
+	if err := eng.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() == 0 {
+		t.Fatal("attached tracer recorded nothing")
+	}
+}
+
 // TestTracingDoesNotPerturbSimulation is the unit-level determinism check
 // behind the tentpole's "byte-identical with tracing on" requirement: the
 // same seed with and without a tracer must complete the same requests in
