@@ -1,11 +1,14 @@
 // benchgate converts `go test -bench` output into the BENCH_engine.json
 // artifact and gates it against a checked-in baseline: the CI bench job
 // fails when any baselined benchmark regresses more than the tolerance
-// band in ns/op, grows its allocs/op at all, or disappears.
+// band in ns/op, grows its allocs/op at all, or disappears. ns/op is
+// gated as a ratio to bench.ReferenceBenchmark from the same `go test`
+// invocation, so every bench output file must run it alongside its
+// benchmarks; a baseline from one host then gates another.
 //
 // Usage:
 //
-//	go test ./internal/sim/ -bench ... -benchmem -count=3 | tee bench.txt
+//	go test -p 1 ./internal/sim/ ./internal/pkg/ -run '^$' -bench 'ReferenceHeapScheduleFire|...' -benchmem -count=10 -benchtime=300ms | tee bench.txt
 //	go run ./cmd/benchgate -o BENCH_engine.json -baseline BENCH_engine.baseline.json bench.txt
 //
 // Refreshing the baseline after an intentional performance change:
@@ -53,7 +56,13 @@ func run(args []string, out *os.File) error {
 		if err != nil {
 			return fmt.Errorf("parsing %s: %v", path, err)
 		}
-		current.Benchmarks = append(current.Benchmarks, s.Benchmarks...)
+		// Each file runs the reference; the artifact keeps its first
+		// measurement.
+		for _, r := range s.Benchmarks {
+			if _, dup := current.Find(r.Name); !dup {
+				current.Benchmarks = append(current.Benchmarks, r)
+			}
+		}
 	}
 	if len(current.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines found in %v", fs.Args())
@@ -68,6 +77,14 @@ func run(args []string, out *os.File) error {
 		return nil
 	}
 	if *update {
+		// Keep the measurement notes the old baseline carries.
+		if old, err := bench.Load(*baseline); err == nil {
+			for i := range current.Benchmarks {
+				if r, ok := old.Find(current.Benchmarks[i].Name); ok {
+					current.Benchmarks[i].Note = r.Note
+				}
+			}
+		}
 		if err := bench.Save(*baseline, current); err != nil {
 			return err
 		}
@@ -78,9 +95,18 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
+	for _, s := range []bench.Suite{base, current} {
+		for _, r := range s.Benchmarks {
+			if r.RefNsPerOp <= 0 {
+				return fmt.Errorf("%s has no %s ns/op from its own go test run: ns/op cannot be normalized",
+					r.Name, bench.ReferenceBenchmark)
+			}
+		}
+	}
 	deltas := bench.Compare(base, current, *tolerance)
 	fmt.Fprintf(out, "benchmark trajectory vs %s (tolerance %.0f%% ns/op, 0 allocs/op):\n",
 		*baseline, *tolerance*100)
+	fmt.Fprintf(out, "ns/op deltas are ratios to %s from the same go test run\n", bench.ReferenceBenchmark)
 	bench.Render(out, deltas)
 	if regs := bench.Regressions(deltas); len(regs) > 0 {
 		for _, d := range regs {

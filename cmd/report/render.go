@@ -83,12 +83,20 @@ func autotuneSection(rep *autotune.Report) string {
 func benchSection(baseline, current bench.Suite, baselinePath string) string {
 	var b strings.Builder
 	b.WriteString("## Performance trajectory: event-core benchmarks\n\n```\n")
-	bench.Render(&b, bench.Compare(baseline, current, bench.DefaultTolerance))
+	deltas := bench.Compare(baseline, current, bench.DefaultTolerance)
+	bench.Render(&b, deltas)
 	b.WriteString("```\n\n")
 	fmt.Fprintf(&b, "Current run vs the checked-in baseline `%s`. CI gates the same "+
 		"comparison (cmd/benchgate): more than %.0f%% ns/op regression or any "+
 		"allocs/op growth on a baselined benchmark fails the bench job.\n\n",
 		baselinePath, bench.DefaultTolerance*100)
+	for _, d := range deltas {
+		if d.Normalized {
+			fmt.Fprintf(&b, "ns/op deltas are ratios to %s from the same go test run.\n\n",
+				bench.ReferenceBenchmark)
+			break
+		}
+	}
 	return b.String()
 }
 

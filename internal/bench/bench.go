@@ -6,6 +6,9 @@
 // The comparison treats the baseline as a floor on throughput, not a
 // target: a fresh run may be arbitrarily faster, but a >tolerance ns/op
 // regression or any allocs/op increase on a baselined benchmark fails.
+// ns/op is compared as a ratio to ReferenceBenchmark run in the same
+// `go test` invocation, so a baseline recorded on one host gates runs on
+// another.
 // Allocations get zero tolerance because the event core's steady-state
 // contract is exactly zero allocs/op — a single new allocation per op is
 // a real leak, never measurement noise.
@@ -30,6 +33,12 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BPerOp      float64 `json:"b_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// RefNsPerOp is ReferenceBenchmark's ns/op from the same `go test`
+	// output (0 when that output did not run it).
+	RefNsPerOp float64 `json:"ref_ns_per_op,omitempty"`
+	// Note records how a baseline entry must be measured when that is
+	// not obvious from the name (for example a pinned -cpu value).
+	Note string `json:"note,omitempty"`
 }
 
 // Suite is a set of benchmark results — the top-level JSON document.
@@ -37,12 +46,31 @@ type Suite struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
+// Find returns the named result.
+func (s Suite) Find(name string) (Result, bool) {
+	for _, r := range s.Benchmarks {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return Result{}, false
+}
+
+// ReferenceBenchmark is the calibration benchmark ns/op is normalized by.
+// It wraps container/heap, which no code in this repository changes, so
+// its speed measures the host rather than the code. Running it in the
+// same `go test` invocation as the benchmarks it calibrates keeps the two
+// measurements seconds apart, inside one phase of a shared host's speed.
+const ReferenceBenchmark = "BenchmarkReferenceHeapScheduleFire"
+
 // ParseText reads `go test -bench -benchmem` output and returns the
 // aggregated suite. The GOMAXPROCS suffix (`BenchmarkFoo-8`) is stripped
 // so results are comparable across machines. Repeated runs of one
 // benchmark (-count=N) aggregate to the minimum ns/op and b/op — the
 // least-noise estimate of the code's true cost — and the maximum
-// allocs/op, the conservative choice for a zero-tolerance gate.
+// allocs/op, the conservative choice for a zero-tolerance gate. When the
+// output ran ReferenceBenchmark, every result records its ns/op as
+// RefNsPerOp.
 func ParseText(r io.Reader) (Suite, error) {
 	byName := make(map[string]*Result)
 	var order []string
@@ -108,7 +136,11 @@ func ParseText(r io.Reader) (Suite, error) {
 	}
 	s := Suite{}
 	for _, name := range order {
-		s.Benchmarks = append(s.Benchmarks, *byName[name])
+		r := *byName[name]
+		if ref, ok := byName[ReferenceBenchmark]; ok {
+			r.RefNsPerOp = ref.NsPerOp
+		}
+		s.Benchmarks = append(s.Benchmarks, r)
 	}
 	return s, nil
 }
@@ -148,7 +180,8 @@ const DefaultTolerance = 0.15
 type Delta struct {
 	Name       string
 	Base, Cur  Result
-	NsDeltaPct float64 // (cur-base)/base * 100; 0 when base ns is 0
+	NsDeltaPct float64 // (cur-base)/base * 100, normalized when Normalized; 0 when base ns is 0
+	Normalized bool    // ns/op compared as ratios to RefNsPerOp
 	Missing    bool    // baselined benchmark absent from the current run
 	New        bool    // current benchmark with no baseline entry
 	Regressed  bool
@@ -156,10 +189,13 @@ type Delta struct {
 }
 
 // Compare evaluates current against baseline with the given ns/op
-// tolerance (<= 0 selects DefaultTolerance). Every baselined benchmark
-// must be present and within band; benchmarks new in current are
-// reported but never regress. Deltas keep baseline order, then new
-// benchmarks in current order.
+// tolerance (<= 0 selects DefaultTolerance). When both results carry a
+// RefNsPerOp, the benchmark is judged by its ratio to the reference from
+// its own run (current ns/op is scaled by base.RefNsPerOp/cur.RefNsPerOp);
+// otherwise ns/op compares as measured. Every baselined benchmark must be
+// present and within band; benchmarks new in current are reported but
+// never regress. Deltas keep baseline order, then new benchmarks in
+// current order.
 func Compare(baseline, current Suite, tolerance float64) []Delta {
 	if tolerance <= 0 {
 		tolerance = DefaultTolerance
@@ -182,13 +218,18 @@ func Compare(baseline, current Suite, tolerance float64) []Delta {
 			continue
 		}
 		d.Cur = cur
+		curNs := cur.NsPerOp
+		if base.RefNsPerOp > 0 && cur.RefNsPerOp > 0 {
+			curNs *= base.RefNsPerOp / cur.RefNsPerOp
+			d.Normalized = true
+		}
 		if base.NsPerOp > 0 {
-			d.NsDeltaPct = (cur.NsPerOp - base.NsPerOp) / base.NsPerOp * 100
+			d.NsDeltaPct = (curNs - base.NsPerOp) / base.NsPerOp * 100
 		}
 		// The tiny relative epsilon keeps the band edge itself inside the
 		// band (1+tolerance is not exactly representable in binary).
 		switch {
-		case cur.NsPerOp > base.NsPerOp*(1+tolerance)*(1+1e-12):
+		case curNs > base.NsPerOp*(1+tolerance)*(1+1e-12):
 			d.Regressed = true
 			d.Reason = fmt.Sprintf("ns/op regressed %.1f%% (> %.0f%% tolerance)",
 				d.NsDeltaPct, tolerance*100)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -178,5 +179,65 @@ func TestRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCompareNormalizesByReference pins the host-independent ns/op gate:
+// ParseText stamps each result with the reference ns/op from its own
+// output, and Compare judges each benchmark by that ratio. A host 1.6×
+// slower in one run and 2× slower in another passes; a benchmark slower
+// than its run's reference explains regresses; results without a
+// reference compare as measured.
+func TestCompareNormalizesByReference(t *testing.T) {
+	t.Parallel()
+	parse := func(text string) Suite {
+		t.Helper()
+		s, err := ParseText(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := parse(`BenchmarkReferenceHeapScheduleFire-4  1000  100 ns/op
+BenchmarkA-4  1000  1000 ns/op
+BenchmarkB-4  1000  50 ns/op
+`)
+	// Two go test runs on a slower host, each with its own reference.
+	runA := parse(`BenchmarkReferenceHeapScheduleFire-2  1000  160 ns/op
+BenchmarkA-2  1000  1600 ns/op
+`)
+	runB := parse(`BenchmarkReferenceHeapScheduleFire-2  1000  200 ns/op
+BenchmarkB-2  1000  120 ns/op
+`)
+	for _, s := range []Suite{base, runA, runB} {
+		for _, r := range s.Benchmarks {
+			if r.RefNsPerOp != s.Benchmarks[0].NsPerOp {
+				t.Fatalf("%s: RefNsPerOp %v, want its run's reference %v", r.Name, r.RefNsPerOp, s.Benchmarks[0].NsPerOp)
+			}
+		}
+	}
+	cur := suiteOf(runA.Benchmarks[0], runA.Benchmarks[1], runB.Benchmarks[1])
+	for _, d := range Compare(base, cur, 0.15) {
+		if !d.Normalized {
+			t.Fatalf("%s not normalized", d.Name)
+		}
+		switch d.Name {
+		case ReferenceBenchmark, "BenchmarkA":
+			if d.Regressed || math.Abs(d.NsDeltaPct) > 1e-9 {
+				t.Fatalf("%s: delta %+.3f%% regressed=%v, want 0%% (same ratio as the baseline)",
+					d.Name, d.NsDeltaPct, d.Regressed)
+			}
+		case "BenchmarkB":
+			// Ratio 0.6 against the baseline's 0.5.
+			if !d.Regressed || math.Abs(d.NsDeltaPct-20) > 1e-9 {
+				t.Fatalf("B: delta %+.3f%% regressed=%v, want +20%% regressed", d.NsDeltaPct, d.Regressed)
+			}
+		}
+	}
+
+	// Without a reference in its run, A's raw +60% is a regression.
+	raw := suiteOf(Result{Name: "BenchmarkA", NsPerOp: 1600})
+	if d := Compare(base, raw, 0.15); d[1].Normalized || !d[1].Regressed {
+		t.Fatalf("A without reference: %+v, want a raw comparison that regresses", d[1])
 	}
 }

@@ -38,7 +38,8 @@ type Pool struct {
 	size        int
 	inUse       int
 	leaked      int
-	waiters     []*waiter
+	waiters     []slot // waiters[waitersHead:] is the FIFO; the popped prefix is zeroed
+	waitersHead int
 	waitersDead int // timed-out waiters still occupying queue slots
 	maxWaiters  int
 
@@ -59,28 +60,42 @@ type Pool struct {
 	chk      *invariant.Checker
 }
 
-// waiter is one blocked acquisition: the outcome-aware callback plus the
-// deadline bookkeeping (timer, enqueue time, and the done flag marking
-// timed-out waiters that occupy a slot until lazily removed).
-type waiter struct {
-	fn        func(*Conn, metrics.Disposition)
-	req       uint64
-	enqueueAt sim.Time
-	deadline  sim.Time
-	timer     sim.Timer
-	done      bool
-}
-
 // poolWaitBounds is the shared bucket layout for acquisition-wait
 // histograms (seconds, 0.1 ms to ~52 s), matching the server layout so
 // per-tier reports line up.
 var poolWaitBounds = metrics.ExpBuckets(1e-4, 2, 20)
 
-// Conn is one acquired connection.
+// Conn is one acquisition of a connection. The same struct serves first
+// as the blocked waiter (the outcome-aware callback plus the deadline
+// timer and enqueue time) and then, once granted, as the held connection.
+// Callers that acquire through AcquireInto own the storage and may reuse
+// it once it is idle again: after a failed acquisition, or after Release.
 type Conn struct {
-	p        *Pool
-	released bool
+	p  *Pool
+	fn func(*Conn, metrics.Disposition)
+	// expireFn is the deadline-timer body, built once per storage so
+	// recycled storage schedules without allocating.
+	expireFn func()
+
+	req       uint64
+	gen       uint64 // bumped whenever a queue slot naming this storage dies
+	enqueueAt sim.Time
+	deadline  sim.Time
+	timer     sim.Timer
+	queued    bool
+	held      bool
 }
+
+// slot is one waiter-queue entry: the blocked storage and the generation
+// it was queued under. A slot whose generation no longer matches its
+// storage's is dead — its waiter timed out — even if the storage has
+// since been reused for a newer acquisition.
+type slot struct {
+	c   *Conn
+	gen uint64
+}
+
+func (q slot) live() bool { return q.gen == q.c.gen }
 
 // New returns a pool with the given size.
 func New(eng *sim.Engine, name string, size int) (*Pool, error) {
@@ -107,7 +122,7 @@ func (p *Pool) InUse() int { return p.inUse }
 
 // Waiting returns the number of blocked acquirers. Timed-out waiters whose
 // slots have not been compacted yet do not count.
-func (p *Pool) Waiting() int { return len(p.waiters) - p.waitersDead }
+func (p *Pool) Waiting() int { return len(p.waiters) - p.waitersHead - p.waitersDead }
 
 // SetMaxWaiters bounds the waiter queue: an acquisition arriving when
 // MaxWaiters acquirers are already blocked is rejected immediately (its
@@ -144,9 +159,9 @@ func (p *Pool) CheckInvariant() error {
 	if p.Free() > 0 && p.Waiting() > 0 {
 		return fmt.Errorf("connpool %s: %d waiters blocked with free=%d", p.name, p.Waiting(), p.Free())
 	}
-	if p.waitersDead < 0 || p.waitersDead > len(p.waiters) {
+	if n := len(p.waiters) - p.waitersHead; p.waitersDead < 0 || p.waitersDead > n {
 		return fmt.Errorf("connpool %s: dead-waiter accounting broken: dead=%d of %d slots",
-			p.name, p.waitersDead, len(p.waiters))
+			p.name, p.waitersDead, n)
 	}
 	if p.grants.Total() != p.releases+uint64(p.inUse) {
 		return fmt.Errorf("connpool %s: grants %d != releases %d + inUse %d",
@@ -220,8 +235,21 @@ func (p *Pool) AcquireFor(req uint64, fn func(*Conn)) {
 // connection (rejected by the waiter bound, or timeout). With a zero
 // deadline and no waiter bound this is exactly AcquireFor.
 func (p *Pool) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Conn, metrics.Disposition)) {
+	p.AcquireInto(new(Conn), req, deadline, fn)
+}
+
+// AcquireInto is AcquireDeadline into caller-owned storage: c is queued
+// while the acquisition blocks and becomes the granted connection, so fn
+// receives c itself (or nil with the failure's disposition). The storage
+// must be idle — never used, failed, or released — and acquiring into
+// storage still queued or still holding a connection panics. Reusing
+// idle storage allocates nothing.
+func (p *Pool) AcquireInto(c *Conn, req uint64, deadline sim.Time, fn func(*Conn, metrics.Disposition)) {
 	if fn == nil {
 		return
+	}
+	if c.queued || c.held {
+		panic("connpool: acquire into a connection still queued or held")
 	}
 	now := p.eng.Now()
 	if deadline > 0 && now >= deadline {
@@ -231,9 +259,10 @@ func (p *Pool) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Conn, met
 		return
 	}
 	p.tracer.Record(req, trace.EventPoolWait, p.tier, p.name, now)
-	w := &waiter{fn: fn, req: req, enqueueAt: now, deadline: deadline}
+	c.p, c.fn, c.req = p, fn, req
+	c.enqueueAt, c.deadline, c.timer = now, deadline, sim.Timer{}
 	if p.Free() > 0 && p.Waiting() == 0 {
-		p.grantWaiter(w)
+		p.grantWaiter(c)
 		return
 	}
 	if p.maxWaiters > 0 && p.Waiting() >= p.maxWaiters {
@@ -243,13 +272,17 @@ func (p *Pool) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Conn, met
 		return
 	}
 	if deadline > 0 {
-		w.timer = p.eng.Schedule(deadline-now, func() { p.timeoutWaiter(w) })
+		if c.expireFn == nil {
+			c.expireFn = c.expire
+		}
+		c.timer = p.eng.Schedule(deadline-now, c.expireFn)
 	}
-	p.waiters = append(p.waiters, w)
+	c.queued = true
+	p.enqueue(slot{c: c, gen: c.gen})
 }
 
 // grantWaiter hands one connection to a waiter, accounting the wait.
-func (p *Pool) grantWaiter(w *waiter) {
+func (p *Pool) grantWaiter(w *Conn) {
 	p.inUse++
 	p.grants.Inc(1)
 	now := p.eng.Now()
@@ -270,25 +303,29 @@ func (p *Pool) grantWaiter(w *waiter) {
 	p.waits.Observe((now - w.enqueueAt).Seconds())
 	p.waitHist.Observe((now - w.enqueueAt).Seconds())
 	p.tracer.Record(w.req, trace.EventPoolGrant, p.tier, p.name, now)
-	w.fn(&Conn{p: p}, metrics.DispositionOK)
+	w.held = true
+	w.fn(w, metrics.DispositionOK)
 }
 
 // failWaiter completes a waiter without a connection. The wait still
 // counts toward the mean-wait statistic; the grant histogram records
 // acquisitions only.
-func (p *Pool) failWaiter(w *waiter, disp metrics.Disposition) {
+func (p *Pool) failWaiter(w *Conn, disp metrics.Disposition) {
 	p.waits.Observe((p.eng.Now() - w.enqueueAt).Seconds())
 	w.fn(nil, disp)
 }
 
-// timeoutWaiter is the deadline timer body for a blocked waiter: it marks
-// the slot dead (lazily removed) and fails the acquisition. No connection
-// is consumed.
-func (p *Pool) timeoutWaiter(w *waiter) {
-	if w.done {
+// expire is the deadline timer body for a blocked waiter.
+func (c *Conn) expire() { c.p.timeoutWaiter(c) }
+
+// timeoutWaiter marks a blocked waiter's slot dead (lazily removed) and
+// fails the acquisition. No connection is consumed.
+func (p *Pool) timeoutWaiter(w *Conn) {
+	if !w.queued {
 		return
 	}
-	w.done = true
+	w.queued = false
+	w.gen++
 	p.waitersDead++
 	p.timeouts.Inc(1)
 	p.tracer.Record(w.req, trace.EventTimeout, p.tier, p.name, p.eng.Now())
@@ -298,33 +335,48 @@ func (p *Pool) timeoutWaiter(w *waiter) {
 
 // maybeCompact drops dead waiter slots once they dominate the queue.
 func (p *Pool) maybeCompact() {
-	if p.waitersDead < 64 || p.waitersDead*2 < len(p.waiters) {
+	if p.waitersDead < 64 || p.waitersDead*2 < len(p.waiters)-p.waitersHead {
 		return
 	}
 	live := p.waiters[:0]
-	for _, w := range p.waiters {
-		if !w.done {
-			live = append(live, w)
+	for _, q := range p.waiters[p.waitersHead:] {
+		if q.live() {
+			live = append(live, q)
 		}
 	}
-	for i := len(live); i < len(p.waiters); i++ {
-		p.waiters[i] = nil
-	}
-	p.waiters = live
+	clear(p.waiters[len(live):])
+	p.waiters, p.waitersHead = live, 0
 	p.waitersDead = 0
 }
 
+// enqueue appends a slot. The queue reuses its array: a drained queue
+// rewinds to the front, and a full one slides its slots down when at
+// least half the array is popped prefix, so steady queueing traffic
+// allocates nothing.
+func (p *Pool) enqueue(q slot) {
+	if len(p.waiters) == cap(p.waiters) && p.waitersHead > 0 && p.waitersHead >= len(p.waiters)/2 {
+		n := copy(p.waiters, p.waiters[p.waitersHead:])
+		clear(p.waiters[n:])
+		p.waiters, p.waitersHead = p.waiters[:n], 0
+	}
+	p.waiters = append(p.waiters, q)
+}
+
 // popWaiter removes and returns the first live waiter (nil when none).
-func (p *Pool) popWaiter() *waiter {
-	for len(p.waiters) > 0 {
-		w := p.waiters[0]
-		p.waiters[0] = nil
-		p.waiters = p.waiters[1:]
-		if w.done {
+func (p *Pool) popWaiter() *Conn {
+	for p.waitersHead < len(p.waiters) {
+		q := p.waiters[p.waitersHead]
+		p.waiters[p.waitersHead] = slot{}
+		p.waitersHead++
+		if p.waitersHead == len(p.waiters) {
+			p.waiters, p.waitersHead = p.waiters[:0], 0
+		}
+		if !q.live() {
 			p.waitersDead--
 			continue
 		}
-		return w
+		q.c.queued = false
+		return q.c
 	}
 	return nil
 }
@@ -354,10 +406,10 @@ func (p *Pool) admit() {
 // Release returns the connection. Releasing twice panics — it would let
 // the pool admit more work than its size allows.
 func (c *Conn) Release() {
-	if c.released {
+	if !c.held {
 		panic("connpool: connection released twice")
 	}
-	c.released = true
+	c.held = false
 	p := c.p
 	p.inUse--
 	p.releases++

@@ -36,25 +36,25 @@ func (a *App) fireAsync(e *edge, visits int, prof *resolvedProfile) {
 			a.asyncDisp.Observe(metrics.DispositionError)
 			continue
 		}
-		a.eng.Schedule(0, func() { a.deliverAsync(e, prof) })
+		v := a.newVisit(visitAsync, e.dst, 0, 0, prof, false)
+		v.edge, v.step = e, stepDeliver
+		a.eng.Schedule(0, v.onWake)
 	}
 }
 
-// deliverAsync consumes one message from the edge's topic and runs the
+// deliver consumes one message from the async edge's topic and runs the
 // downstream visit. Each delivery begins its own trace identity: the
 // parent request has already moved on.
-func (a *App) deliverAsync(e *edge, prof *resolvedProfile) {
-	recs, err := e.consumer.Poll(1)
+func (v *visit) deliver() {
+	a := v.a
+	recs, err := v.edge.consumer.Poll(1)
 	if err != nil || len(recs) == 0 {
 		// Nothing buffered (another delivery raced us to the record);
 		// conservation-wise this spawn still completes.
-		a.asyncInFlight--
-		a.asyncDisp.Observe(metrics.DispositionError)
+		v.report(metrics.DispositionError)
 		return
 	}
-	req := a.reqTracer.Begin()
-	a.visitNode(req, 0, e.dst, 0, prof, false, func(disp metrics.Disposition) {
-		a.asyncInFlight--
-		a.asyncDisp.Observe(disp)
-	})
+	v.req = a.reqTracer.Begin()
+	v.start = a.eng.Now()
+	v.enter()
 }

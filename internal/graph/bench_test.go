@@ -9,13 +9,11 @@ import (
 	"dcm/internal/sim"
 )
 
-// BenchmarkGraphWalk measures end-to-end request cost through a 4-node
-// diamond — a parallel fan-out, a serial call and a pooled shared DB —
-// covering the walker's branch/join/pool machinery. Reported ns/op is
-// per completed request, queueing included.
-func BenchmarkGraphWalk(b *testing.B) {
+// benchDiamond is the 4-node diamond BenchmarkGraphWalk drives: a
+// parallel fan-out, a serial call and a pooled shared DB.
+func benchDiamond() Spec {
 	law := model.Params{S0: 1e-4, Gamma: 1}
-	spec := Spec{
+	return Spec{
 		Name:  "bench-diamond",
 		Entry: "front",
 		Nodes: []NodeSpec{
@@ -31,6 +29,14 @@ func BenchmarkGraphWalk(b *testing.B) {
 			{From: "svcB", To: "db", Visits: 1, PoolSize: 8},
 		},
 	}
+}
+
+// BenchmarkGraphWalk measures end-to-end request cost through a 4-node
+// diamond — a parallel fan-out, a serial call and a pooled shared DB —
+// covering the walker's branch/join/pool machinery. Reported ns/op is
+// per completed request, queueing included.
+func BenchmarkGraphWalk(b *testing.B) {
+	spec := benchDiamond()
 	eng := sim.NewEngine()
 	app, err := New(eng, rng.New(1).Split("app"), Config{Spec: spec})
 	if err != nil {

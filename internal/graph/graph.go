@@ -98,6 +98,10 @@ type Member struct {
 	srv   *server.Server
 	node  *node
 	pools []*connpool.Pool // parallel to node.outs; nil for unpooled edges
+	// breaker guards calls into the member; nil unless the breaker feature
+	// is on (and always nil at the entry node, and once the member is
+	// removed).
+	breaker *resilience.Breaker
 }
 
 // Name returns the member's server name.
@@ -151,16 +155,14 @@ type App struct {
 
 	profiles   []resolvedProfile
 	profWeight float64
-	profStats  map[string]*profileAccum
+	profStats  []profileAccum // parallel to profiles
 	defaultPr  resolvedProfile
 
 	reqTracer *trace.RequestTracer
 
-	// Resilience state. breakers is keyed by server name and empty unless
-	// the breaker feature is on.
-	res      resilience.Config
-	breakers map[string]*resilience.Breaker
-	disp     metrics.DispositionCounts
+	// Resilience state. Circuit breakers live on their members.
+	res  resilience.Config
+	disp metrics.DispositionCounts
 
 	// Per-class accounting (empty / nil without Classes).
 	classes       []classState
@@ -193,6 +195,10 @@ type App struct {
 	shed     metrics.Counter
 	brkOpen  metrics.Counter
 	good     metrics.Counter
+
+	// Free lists of walk records (see walk.go), grown on demand.
+	freeVisits *visit
+	freeReqs   *request
 }
 
 // New builds the application with cfg's topology. rnd must be a dedicated
@@ -219,9 +225,7 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 		nodeByName: make(map[string]*node, len(cfg.Spec.Nodes)),
 		edgeByKey:  make(map[string]*edge, len(cfg.Spec.Edges)),
 		nameSeq:    make(map[string]int, len(cfg.Spec.Nodes)),
-		profStats:  make(map[string]*profileAccum, len(cfg.Mix)),
 		res:        cfg.Resilience,
-		breakers:   make(map[string]*resilience.Breaker),
 
 		admissionScale: 1,
 	}
@@ -241,7 +245,7 @@ func New(eng *sim.Engine, rnd *rng.Rand, cfg Config) (*App, error) {
 			// Breaker guard: a backend whose breaker is open (and not yet
 			// cooled down) is skipped like a draining one.
 			n.balancer.SetGuard(func(be lb.Backend) bool {
-				br := a.breakers[be.Name()]
+				br := be.(*Member).breaker
 				return br == nil || br.Ready(a.eng.Now())
 			})
 		}
@@ -424,7 +428,7 @@ func (a *App) AddMember(nodeName, name string) (*Member, error) {
 	// system's front door: opening a breaker there is a self-inflicted
 	// outage, so it relies on admission control instead.
 	if a.res.Breaker.Enabled() && !n.entry {
-		a.breakers[name] = resilience.NewBreaker(a.res.Breaker)
+		m.breaker = resilience.NewBreaker(a.res.Breaker)
 	}
 	if err := n.balancer.Add(m); err != nil {
 		return nil, fmt.Errorf("graph: register %q: %w", name, err)
@@ -445,8 +449,8 @@ func (a *App) AddMember(nodeName, name string) (*Member, error) {
 				p.SetInvariantChecker(a.chk)
 			}
 		}
-		if br := a.breakers[name]; br != nil {
-			br.SetStateHook(a.breakerTransitionHook(name))
+		if m.breaker != nil {
+			m.breaker.SetStateHook(a.breakerTransitionHook(name))
 		}
 	}
 	a.refreshConfigured()
@@ -485,20 +489,20 @@ func (a *App) breakerTransitionHook(name string) func(from, to resilience.Breake
 func (a *App) SetInvariantChecker(c *invariant.Checker) {
 	a.chk = c
 	for _, n := range a.nodes {
-		for _, m := range n.members {
+		for name, m := range n.members {
 			m.srv.SetInvariantChecker(c)
 			for _, p := range m.pools {
 				if p != nil {
 					p.SetInvariantChecker(c)
 				}
 			}
-		}
-	}
-	for name, br := range a.breakers {
-		if c == nil {
-			br.SetStateHook(nil)
-		} else {
-			br.SetStateHook(a.breakerTransitionHook(name))
+			if m.breaker != nil {
+				var hook func(from, to resilience.BreakerState)
+				if c != nil {
+					hook = a.breakerTransitionHook(name)
+				}
+				m.breaker.SetStateHook(hook)
+			}
 		}
 	}
 }
@@ -645,7 +649,7 @@ func (a *App) RemoveMember(nodeName, name string) error {
 		return fmt.Errorf("graph: remove %s/%s: %w", nodeName, name, err)
 	}
 	delete(n.members, name)
-	delete(a.breakers, name)
+	m.breaker = nil
 	a.refreshConfigured()
 	return nil
 }
@@ -667,7 +671,7 @@ func (a *App) FailMember(nodeName, name string) error {
 		return fmt.Errorf("graph: fail %s/%s: %w", nodeName, name, err)
 	}
 	delete(n.members, name)
-	delete(a.breakers, name)
+	m.breaker = nil
 	m.srv.Kill()
 	a.refreshConfigured()
 	return nil
@@ -737,7 +741,14 @@ func (a *App) Dispositions() metrics.DispositionCounts { return a.disp }
 
 // Breaker returns the named member's circuit breaker, nil when breakers
 // are disabled or the member is unknown.
-func (a *App) Breaker(name string) *resilience.Breaker { return a.breakers[name] }
+func (a *App) Breaker(name string) *resilience.Breaker {
+	for _, n := range a.nodes {
+		if m, ok := n.members[name]; ok {
+			return m.breaker
+		}
+	}
+	return nil
+}
 
 // AsyncLedger returns the async fire-and-forget ledger: deliveries
 // spawned, their finished dispositions, and the in-flight count.

@@ -52,6 +52,7 @@ var (
 type resolvedProfile struct {
 	name   string
 	weight float64
+	mix    int // index into App.profiles and App.profStats (mix profiles only)
 	demand []float64
 	visits []int
 }
@@ -115,8 +116,9 @@ func (a *App) resolveMix(mix []Profile) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
+		rp.mix = len(a.profiles)
 		a.profiles = append(a.profiles, rp)
-		a.profStats[p.Name] = &profileAccum{}
+		a.profStats = append(a.profStats, profileAccum{})
 		total += p.Weight
 	}
 	return total, nil
@@ -187,7 +189,8 @@ type profileAccum struct {
 // mix is configured).
 func (a *App) ProfileStats() map[string]ProfileStat {
 	out := make(map[string]ProfileStat, len(a.profStats))
-	for name, acc := range a.profStats {
+	for i := range a.profStats {
+		acc := &a.profStats[i]
 		st := ProfileStat{
 			Completions: acc.completions.Total(),
 			Errors:      acc.errored.Total(),
@@ -195,7 +198,7 @@ func (a *App) ProfileStats() map[string]ProfileStat {
 		if st.Completions > 0 {
 			st.MeanRTms = acc.rtSum / float64(st.Completions) * 1000
 		}
-		out[name] = st
+		out[a.profiles[i].name] = st
 	}
 	return out
 }

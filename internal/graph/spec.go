@@ -51,8 +51,9 @@ const (
 	// thread held across each call (the default).
 	EdgeSerial = "serial"
 	// EdgeParallel issues all visits concurrently and joins them before
-	// the caller replies; the join's outcome is the first failed branch's
-	// disposition, counted once.
+	// the caller replies; the join's outcome is the lowest-index failed
+	// branch's disposition (whatever order the branches finish in),
+	// counted once.
 	EdgeParallel = "parallel"
 	// EdgeAsync publishes the visits to an internal/bus topic and returns
 	// immediately; the deliveries run as independent background jobs whose

@@ -14,11 +14,20 @@ import (
 )
 
 // This file is the request walk: how one injected request travels the
-// DAG. The control flow is a mechanical generalization of the chain walk
-// internal/ntier carried since PR 1 — for a 3-node linear topology the
-// sequence of picks, acquisitions, bursts, releases and records is
-// bit-for-bit the same, which is what keeps every pre-refactor sha256
-// digest valid.
+// DAG. Each node visit is one pooled visit record driven as a small step
+// machine: the record names what it is waiting for (a connection, a
+// thread, a burst, a serial call, a parallel join), and advance moves it
+// forward when that finishes. A call over an edge is a child record
+// pointing at its parent; the parent keeps its place in the out-edges as
+// an edge position and an issued count, and a parallel join as a
+// remaining count and the lowest-index failure. The records carry their
+// own server and pool waiter storage and callbacks built once, so a
+// request in steady state allocates nothing.
+//
+// The sequence of picks, acquisitions, bursts, releases and records is a
+// mechanical generalization of the chain walk internal/ntier always
+// carried — for a 3-node linear topology it is bit-for-bit the same,
+// which is what keeps every pre-refactor sha256 digest valid.
 
 // deadlineFor computes the absolute deadline for a request arriving at
 // start (zero when request timeouts are off).
@@ -38,21 +47,13 @@ func pickDisposition(err error) metrics.Disposition {
 	return metrics.DispositionError
 }
 
-// breakerAttempt consumes a breaker admission for the member (half-open
-// probe accounting); true when the call may proceed. Always true when
-// breakers are off.
-func (a *App) breakerAttempt(m *Member) bool {
-	br := a.breakers[m.Name()]
-	return br == nil || br.Attempt(a.eng.Now())
-}
-
 // breakerRecord feeds a call outcome to the member's breaker. Only
 // genuine backend verdicts count: OK is a success, errors and timeouts
 // are failures. Backpressure verdicts (rejected, shed, a downstream
 // breaker refusing) bypass the failure window — shedding is the admission
 // layer doing its job, not evidence this backend is sick.
 func (a *App) breakerRecord(m *Member, disp metrics.Disposition) {
-	br := a.breakers[m.Name()]
+	br := m.breaker
 	if br == nil {
 		return
 	}
@@ -81,16 +82,94 @@ func (a *App) tally(d metrics.Disposition) {
 	}
 }
 
-// ledger wraps a visit's completion in the target node's conservation
-// accounting: the visit is counted when it starts and its disposition
-// lands exactly once. Pure counting — no events, no draws.
-func (a *App) ledger(n *node, done func(metrics.Disposition)) func(metrics.Disposition) {
-	n.started++
-	n.inFlight++
-	return func(d metrics.Disposition) {
-		n.inFlight--
-		n.visits.Observe(d)
-		done(d)
+// request is one injected request's record: what its completion needs
+// once the entry visit reports. Records are recycled through App.freeReqs.
+type request struct {
+	a     *App
+	id    uint64 // request-tracer ID
+	start sim.Time
+	class int    // class index, -1 when classless
+	cls   *Class // nil when classless
+	mixed *resolvedProfile
+	done  func(rt time.Duration, ok bool)
+	next  *request // free-list link
+}
+
+func (a *App) newRequest() *request {
+	rq := a.freeReqs
+	if rq == nil {
+		return &request{a: a}
+	}
+	a.freeReqs = rq.next
+	rq.next = nil
+	return rq
+}
+
+// finish lands the request's disposition in the app, class and profile
+// accounting, recycles the record, and reports to the injector.
+func (rq *request) finish(disp metrics.Disposition) {
+	a := rq.a
+	ok := disp == metrics.DispositionOK
+	a.inFlight--
+	if a.chk != nil && a.inFlight < 0 {
+		a.chk.Violatef(a.eng.Now(), invariant.RuleConservation, "graph", rq.id,
+			"request finish drove in-flight negative (%d)", a.inFlight)
+	}
+	rt := a.eng.Now() - rq.start
+	kind := trace.EventDone
+	if !ok {
+		kind = trace.EventFail
+	}
+	a.reqTracer.Record(rq.id, kind, "", "", a.eng.Now())
+	a.tally(disp)
+	if ok {
+		a.completions.Inc(1)
+		a.rts.Observe(rt.Seconds())
+		a.rtWindow = append(a.rtWindow, rt.Seconds())
+		if a.res.Enabled() {
+			if sla := a.res.GoodputSLA(); sla <= 0 || rt <= sla {
+				a.good.Inc(1)
+			}
+		}
+	} else {
+		a.errored.Inc(1)
+	}
+	if cls := rq.cls; cls != nil {
+		st := &a.classes[rq.class]
+		st.inFlight--
+		a.classDisp.Observe(rq.class, disp)
+		if ok {
+			st.completions++
+			st.rtSum += rt.Seconds()
+			// The class SLO overrides the global goodput SLA; without
+			// one, fall back to the resilience-wide threshold.
+			sla := cls.SLO
+			if sla <= 0 {
+				sla = a.res.GoodputSLA()
+			}
+			if sla <= 0 || rt <= sla {
+				st.good++
+			}
+		} else {
+			st.errored++
+		}
+	} else {
+		a.unclassedDisp.Observe(disp)
+	}
+	if rq.mixed != nil {
+		acc := &a.profStats[rq.mixed.mix]
+		if ok {
+			acc.completions.Inc(1)
+			acc.rtSum += rt.Seconds()
+		} else {
+			acc.errored.Inc(1)
+		}
+	}
+	done := rq.done
+	*rq = request{a: a, next: a.freeReqs}
+	a.freeReqs = rq
+	if done != nil {
+		done(rt, ok)
 	}
 }
 
@@ -139,67 +218,8 @@ func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration,
 	if cls != nil {
 		a.reqTracer.RecordClass(req, cls.Name, start)
 	}
-	finish := func(disp metrics.Disposition) {
-		ok := disp == metrics.DispositionOK
-		a.inFlight--
-		if a.chk != nil && a.inFlight < 0 {
-			a.chk.Violatef(a.eng.Now(), invariant.RuleConservation, "graph", req,
-				"request finish drove in-flight negative (%d)", a.inFlight)
-		}
-		rt := a.eng.Now() - start
-		kind := trace.EventDone
-		if !ok {
-			kind = trace.EventFail
-		}
-		a.reqTracer.Record(req, kind, "", "", a.eng.Now())
-		a.tally(disp)
-		if ok {
-			a.completions.Inc(1)
-			a.rts.Observe(rt.Seconds())
-			a.rtWindow = append(a.rtWindow, rt.Seconds())
-			if a.res.Enabled() {
-				if sla := a.res.GoodputSLA(); sla <= 0 || rt <= sla {
-					a.good.Inc(1)
-				}
-			}
-		} else {
-			a.errored.Inc(1)
-		}
-		if cls != nil {
-			st := &a.classes[class]
-			st.inFlight--
-			a.classDisp.Observe(class, disp)
-			if ok {
-				st.completions++
-				st.rtSum += rt.Seconds()
-				// The class SLO overrides the global goodput SLA; without
-				// one, fall back to the resilience-wide threshold.
-				sla := cls.SLO
-				if sla <= 0 {
-					sla = a.res.GoodputSLA()
-				}
-				if sla <= 0 || rt <= sla {
-					st.good++
-				}
-			} else {
-				st.errored++
-			}
-		} else {
-			a.unclassedDisp.Observe(disp)
-		}
-		if mixed != nil {
-			acc := a.profStats[mixed.name]
-			if ok {
-				acc.completions.Inc(1)
-				acc.rtSum += rt.Seconds()
-			} else {
-				acc.errored.Inc(1)
-			}
-		}
-		if done != nil {
-			done(rt, ok)
-		}
-	}
+	rq := a.newRequest()
+	rq.id, rq.start, rq.class, rq.cls, rq.mixed, rq.done = req, start, class, cls, mixed, done
 
 	// Brownout front-door shed: while the degrade controller holds a shed
 	// ratio, best-effort arrivals are dropped before they touch the entry
@@ -210,269 +230,363 @@ func (a *App) InjectClass(class int, session uint64, done func(rt time.Duration,
 			a.classes[class].bshed++
 		}
 		a.reqTracer.Record(req, trace.EventShed, "", "", a.eng.Now())
-		finish(metrics.DispositionShed)
+		rq.finish(metrics.DispositionShed)
 		return
 	}
 
-	a.visitNode(req, deadline, a.entry, session, prof, critical, finish)
+	v := a.newVisit(visitEntry, a.entry, req, deadline, prof, critical)
+	v.rq, v.session = rq, session
+	v.enter()
 }
 
-// visitNode runs one visit of node n reached without a connection pool:
-// pick a member, acquire a thread, run the burst, descend the out-edges
-// with the thread held, then release and report. It serves the entry node
-// (session-sticky picks) and async deliveries.
-func (a *App) visitNode(req uint64, deadline sim.Time, n *node, session uint64, prof *resolvedProfile, critical bool, done func(metrics.Disposition)) {
-	done = a.ledger(n, done)
+// visitKind says how a visit was reached, and so whom it reports to.
+type visitKind uint8
+
+const (
+	// visitEntry is a request's entry-node visit; it reports to the
+	// request record.
+	visitEntry visitKind = iota
+	// visitCall is one call over an edge (pooled edges acquire a
+	// connection first); it reports to the parent visit.
+	visitCall
+	// visitAsync is one fire-and-forget delivery over an async edge; it
+	// reports to the async ledger.
+	visitAsync
+)
+
+// step names what a visit is waiting for; advance resumes it from there.
+type step uint8
+
+const (
+	stepConn    step = iota // the upstream connection (calls over pooled edges)
+	stepThread              // a thread on the picked member
+	stepBurst               // the node's CPU burst
+	stepSerial              // the current serial call over out-edge pos
+	stepJoin                // every branch of the parallel out-edge pos
+	stepDeliver             // an async delivery's scheduled wake-up
+)
+
+// visit is the record of one node visit. Records are recycled through
+// App.freeVisits; the callbacks handed to server, connpool and the engine
+// are built once, when a record is first carved, and the server thread
+// and pool connection are acquired into storage embedded here.
+type visit struct {
+	a    *App
+	kind visitKind
+	step step
+
+	req      uint64 // request-tracer ID
+	deadline sim.Time
+	prof     *resolvedProfile
+	critical bool
+	session  uint64 // entry visits: session-affinity key (0 = none)
+
+	n     *node
+	m     *Member // the picked member, once picked
+	start sim.Time
+	edge  *edge // visitCall: the edge called over; visitAsync: the async edge
+
+	parent *visit   // visitCall: the caller
+	idx    int      // visitCall: branch index within the parent's parallel edge
+	rq     *request // visitEntry: the request
+
+	// Out-edge walk state while this visit's node calls downstream.
+	pos       int                 // current out-edge
+	issued    int                 // serial calls finished on out-edge pos
+	remaining int                 // parallel branches still outstanding
+	failIdx   int                 // lowest failed branch index, -1 when none
+	failDisp  metrics.Disposition // that branch's disposition
+
+	sess server.Session
+	conn connpool.Conn
+
+	onConn  func(*connpool.Conn, metrics.Disposition)
+	onGrant func(*server.Session, metrics.Disposition)
+	onWake  func()
+
+	next *visit // free-list link
+}
+
+// newVisit takes a record off the free list (carving a new one when the
+// list is empty) and starts it on node n.
+func (a *App) newVisit(kind visitKind, n *node, req uint64, deadline sim.Time, prof *resolvedProfile, critical bool) *visit {
+	v := a.freeVisits
+	if v == nil {
+		v = &visit{a: a}
+		v.onConn = v.connDone
+		v.onGrant = v.threadDone
+		v.onWake = v.wake
+	} else {
+		a.freeVisits = v.next
+		v.next = nil
+	}
+	v.kind, v.n, v.req, v.deadline, v.prof, v.critical = kind, n, req, deadline, prof, critical
+	v.start = a.eng.Now()
+	return v
+}
+
+// free returns the record to the free list. Its waiter storage is idle by
+// now: the thread and connection were released or never granted.
+func (v *visit) free() {
+	a := v.a
+	v.m, v.edge, v.parent, v.rq, v.prof, v.session = nil, nil, nil, nil, nil, 0
+	v.next = a.freeVisits
+	a.freeVisits = v
+}
+
+func (v *visit) connDone(_ *connpool.Conn, disp metrics.Disposition) { v.advance(disp) }
+
+func (v *visit) threadDone(_ *server.Session, disp metrics.Disposition) { v.advance(disp) }
+
+func (v *visit) wake() { v.advance(metrics.DispositionOK) }
+
+// advance moves the visit forward once what its step names has finished
+// with disp, running until the visit waits again or ends.
+func (v *visit) advance(disp metrics.Disposition) {
+	switch v.step {
+	case stepConn:
+		if disp != metrics.DispositionOK {
+			// The call never reached the node: no ledger entry, no breaker
+			// verdict.
+			v.report(disp)
+			return
+		}
+		v.enter()
+	case stepThread:
+		if disp != metrics.DispositionOK {
+			v.releaseConn()
+			v.a.breakerRecord(v.m, disp)
+			v.settle(disp)
+			return
+		}
+		v.step = stepBurst
+		v.sess.ExecDemand(v.prof.demand[v.n.idx], v.onWake)
+	case stepBurst:
+		v.burstDone()
+	case stepSerial:
+		if disp != metrics.DispositionOK {
+			v.complete(disp)
+			return
+		}
+		v.issued++
+		v.walk()
+	case stepJoin:
+		if disp != metrics.DispositionOK {
+			v.complete(disp)
+			return
+		}
+		v.pos++
+		v.walk()
+	case stepDeliver:
+		v.deliver()
+	}
+}
+
+// enter starts the visit at its node: count it in the node ledger, pick a
+// member, consume a breaker admission, and queue for a thread.
+func (v *visit) enter() {
+	a, n := v.a, v.n
+	n.started++
+	n.inFlight++
 	var be lb.Backend
 	var err error
-	if n.entry && session != 0 {
-		be, err = n.balancer.PickSession(session)
+	if n.entry && v.session != 0 {
+		be, err = n.balancer.PickSession(v.session)
 	} else {
 		be, err = n.balancer.Pick()
 	}
 	if err != nil {
+		v.releaseConn()
 		if errors.Is(err, lb.ErrGuarded) {
-			a.reqTracer.Record(req, trace.EventBreakerOpen, n.spec.Name, "", a.eng.Now())
+			a.reqTracer.Record(v.req, trace.EventBreakerOpen, n.spec.Name, "", a.eng.Now())
 		}
-		done(pickDisposition(err))
+		v.settle(pickDisposition(err))
 		return
 	}
-	m, ok := n.members[be.Name()]
-	if !ok {
-		done(metrics.DispositionError)
+	m := be.(*Member)
+	v.m = m
+	if br := m.breaker; br != nil && !br.Attempt(a.eng.Now()) {
+		v.releaseConn()
+		a.reqTracer.Record(v.req, trace.EventBreakerOpen, n.spec.Name, m.Name(), a.eng.Now())
+		v.settle(metrics.DispositionBreakerOpen)
 		return
 	}
-	if !a.breakerAttempt(m) {
-		a.reqTracer.Record(req, trace.EventBreakerOpen, n.spec.Name, m.Name(), a.eng.Now())
-		done(metrics.DispositionBreakerOpen)
-		return
-	}
-	start := a.eng.Now()
-	m.srv.AcquireDeadlineCritical(req, deadline, critical, func(sess *server.Session, acqDisp metrics.Disposition) {
-		if sess == nil {
-			a.breakerRecord(m, acqDisp)
-			done(acqDisp)
-			return
-		}
-		sess.ExecDemand(prof.demand[n.idx], func() {
-			if sess.TimedOut() {
-				sess.Release()
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.breakerRecord(m, metrics.DispositionTimeout)
-				done(metrics.DispositionTimeout)
-				return
-			}
-			a.descend(req, deadline, n, m, prof, critical, func(disp metrics.Disposition) {
-				sess.Release()
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				if disp == metrics.DispositionOK && sess.Killed() {
-					disp = metrics.DispositionError
-				}
-				a.breakerRecord(m, disp)
-				done(disp)
-			})
-		})
-	})
+	v.step = stepThread
+	m.srv.AcquireInto(&v.sess, v.req, v.deadline, v.critical, v.onGrant)
 }
 
-// descend walks a node's out-edges after its burst completed. A cache hit
-// short-circuits: the reply is served locally and no out-edge is visited.
-func (a *App) descend(req uint64, deadline sim.Time, n *node, m *Member, prof *resolvedProfile, critical bool, done func(metrics.Disposition)) {
-	if n.isCache() && a.cacheLookup(n) {
-		done(metrics.DispositionOK)
+// burstDone judges the finished burst and, when the visit goes on,
+// descends into the node's out-edges. A cache hit short-circuits: the
+// reply is served locally and no out-edge is visited.
+func (v *visit) burstDone() {
+	n := v.n
+	if v.kind == visitCall && len(n.outs) == 0 && !n.isCache() {
+		// Leaf call: the verdict is read right here, a crashed backend
+		// taking precedence over a deadline preemption — the chain's
+		// DB-query semantics.
+		killed := v.sess.Killed()
+		timedOut := v.sess.TimedOut()
+		v.release()
+		disp := metrics.DispositionOK
+		switch {
+		case killed:
+			disp = metrics.DispositionError
+		case timedOut:
+			disp = metrics.DispositionTimeout
+		}
+		v.a.breakerRecord(v.m, disp)
+		v.settle(disp)
 		return
 	}
-	a.walkEdges(req, deadline, n, m, prof, critical, 0, done)
+	if v.sess.TimedOut() {
+		v.release()
+		v.a.breakerRecord(v.m, metrics.DispositionTimeout)
+		v.settle(metrics.DispositionTimeout)
+		return
+	}
+	if n.isCache() && v.a.cacheLookup(n) {
+		v.complete(metrics.DispositionOK)
+		return
+	}
+	v.pos, v.issued = 0, 0
+	v.walk()
 }
 
-// walkEdges runs the out-edges of n in declaration order, each to
+// walk runs the out-edges from pos in declaration order, each to
 // completion before the next starts; a failed edge aborts the remainder.
-func (a *App) walkEdges(req uint64, deadline sim.Time, n *node, m *Member, prof *resolvedProfile, critical bool, pos int, done func(metrics.Disposition)) {
-	if pos >= len(n.outs) {
-		done(metrics.DispositionOK)
-		return
-	}
-	e := n.outs[pos]
-	visits := prof.visits[e.idx]
-	next := func(disp metrics.Disposition) {
-		if disp != metrics.DispositionOK {
-			done(disp)
+// Serial edges issue their visits one at a time, checking the deadline
+// before each call; parallel edges fan all visits out at once and join
+// them; async edges publish and move on.
+func (v *visit) walk() {
+	a := v.a
+	for v.pos < len(v.n.outs) {
+		e := v.n.outs[v.pos]
+		visits := v.prof.visits[e.idx]
+		switch e.spec.Kind {
+		case EdgeAsync:
+			a.fireAsync(e, visits, v.prof)
+			v.pos++
+		case EdgeParallel:
+			if visits <= 0 {
+				v.pos++
+				continue
+			}
+			if v.deadline > 0 && a.eng.Now() >= v.deadline {
+				v.complete(metrics.DispositionTimeout)
+				return
+			}
+			v.step = stepJoin
+			v.remaining, v.failIdx = visits, -1
+			// A branch may finish synchronously; the last one to finish
+			// advances (and may end) this visit, so nothing here reads
+			// the record after the loop.
+			for i := 0; i < visits; i++ {
+				a.call(v, e, i)
+			}
+			return
+		default:
+			if v.issued >= visits {
+				v.issued = 0
+				v.pos++
+				continue
+			}
+			if v.deadline > 0 && a.eng.Now() >= v.deadline {
+				v.complete(metrics.DispositionTimeout)
+				return
+			}
+			v.step = stepSerial
+			a.call(v, e, 0)
 			return
 		}
-		a.walkEdges(req, deadline, n, m, prof, critical, pos+1, done)
 	}
-	switch e.spec.Kind {
-	case EdgeAsync:
-		a.fireAsync(e, visits, prof)
-		next(metrics.DispositionOK)
-	case EdgeParallel:
-		a.visitParallel(req, deadline, e, m, prof, critical, visits, next)
+	v.complete(metrics.DispositionOK)
+}
+
+// call issues one call over edge e from parent p: acquire a connection
+// from p's member when the edge is pooled (the residence window opens
+// before the pool wait), then enter the destination.
+func (a *App) call(p *visit, e *edge, idx int) {
+	c := a.newVisit(visitCall, e.dst, p.req, p.deadline, p.prof, p.critical)
+	c.edge, c.parent, c.idx = e, p, idx
+	if e.pooled() {
+		c.step = stepConn
+		p.m.pools[e.pos].AcquireInto(&c.conn, c.req, c.deadline, c.onConn)
+		return
+	}
+	c.enter()
+}
+
+// joinBranch folds one finished parallel branch into the join: every
+// branch runs to completion, then the join reports once — the
+// lowest-index failed branch's disposition, or OK when all succeeded.
+func (v *visit) joinBranch(idx int, disp metrics.Disposition) {
+	v.remaining--
+	if disp != metrics.DispositionOK && (v.failIdx < 0 || idx < v.failIdx) {
+		v.failIdx, v.failDisp = idx, disp
+	}
+	if v.remaining > 0 {
+		return
+	}
+	joined := metrics.DispositionOK
+	if v.failIdx >= 0 {
+		joined = v.failDisp
+	}
+	v.advance(joined)
+}
+
+// releaseConn gives back the upstream connection of a call over a pooled
+// edge (a no-op for every other visit).
+func (v *visit) releaseConn() {
+	if v.kind == visitCall && v.edge.pooled() {
+		v.conn.Release()
+	}
+}
+
+// release gives back the visit's thread and upstream connection and
+// closes its residence window.
+func (v *visit) release() {
+	v.sess.Release()
+	v.releaseConn()
+	v.n.res.Observe((v.a.eng.Now() - v.start).Seconds())
+}
+
+// complete ends a visit whose out-edge walk (or cache hit) finished with
+// disp: work done on a crashed member is lost.
+func (v *visit) complete(disp metrics.Disposition) {
+	v.release()
+	if disp == metrics.DispositionOK && v.sess.Killed() {
+		disp = metrics.DispositionError
+	}
+	v.a.breakerRecord(v.m, disp)
+	v.settle(disp)
+}
+
+// settle lands the visit's disposition in the node ledger exactly once
+// and reports it.
+func (v *visit) settle(disp metrics.Disposition) {
+	n := v.n
+	n.inFlight--
+	n.visits.Observe(disp)
+	v.report(disp)
+}
+
+// report recycles the record and hands disp to whoever waits on the
+// visit: the parent's serial call or parallel join, the request, or the
+// async ledger.
+func (v *visit) report(disp metrics.Disposition) {
+	a, kind, parent, idx, rq := v.a, v.kind, v.parent, v.idx, v.rq
+	v.free()
+	switch kind {
+	case visitCall:
+		if parent.step == stepJoin {
+			parent.joinBranch(idx, disp)
+		} else {
+			parent.advance(disp)
+		}
+	case visitEntry:
+		rq.finish(disp)
 	default:
-		a.visitSerial(req, deadline, e, m, prof, critical, 0, visits, next)
+		a.asyncInFlight--
+		a.asyncDisp.Observe(disp)
 	}
-}
-
-// visitSerial issues the edge's visits sequentially, checking the
-// deadline before each call — the chain's DB-query loop, verbatim.
-func (a *App) visitSerial(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, issued, visits int, done func(metrics.Disposition)) {
-	if issued >= visits {
-		done(metrics.DispositionOK)
-		return
-	}
-	if deadline > 0 && a.eng.Now() >= deadline {
-		done(metrics.DispositionTimeout)
-		return
-	}
-	a.issueCall(req, deadline, e, src, prof, critical, func(disp metrics.Disposition) {
-		if disp != metrics.DispositionOK {
-			done(disp)
-			return
-		}
-		a.visitSerial(req, deadline, e, src, prof, critical, issued+1, visits, done)
-	})
-}
-
-// visitParallel fans the edge's visits out concurrently and joins them:
-// every branch runs to completion, then the join reports once — the first
-// failed branch's disposition, or OK when all branches succeeded.
-func (a *App) visitParallel(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, visits int, done func(metrics.Disposition)) {
-	if visits <= 0 {
-		done(metrics.DispositionOK)
-		return
-	}
-	if deadline > 0 && a.eng.Now() >= deadline {
-		done(metrics.DispositionTimeout)
-		return
-	}
-	disps := make([]metrics.Disposition, visits)
-	remaining := visits
-	for i := 0; i < visits; i++ {
-		i := i
-		a.issueCall(req, deadline, e, src, prof, critical, func(disp metrics.Disposition) {
-			disps[i] = disp
-			remaining--
-			if remaining > 0 {
-				return
-			}
-			joined := metrics.DispositionOK
-			for _, d := range disps {
-				if d != metrics.DispositionOK {
-					joined = d
-					break
-				}
-			}
-			done(joined)
-		})
-	}
-}
-
-// issueCall makes one call over edge e from the src member: acquire a
-// connection when the edge is pooled (the residence window opens before
-// the pool wait), then visit the destination.
-func (a *App) issueCall(req uint64, deadline sim.Time, e *edge, src *Member, prof *resolvedProfile, critical bool, done func(metrics.Disposition)) {
-	start := a.eng.Now()
-	if !e.pooled() {
-		a.callTarget(req, deadline, e, nil, start, prof, critical, done)
-		return
-	}
-	src.pools[e.pos].AcquireDeadline(req, deadline, func(conn *connpool.Conn, acqDisp metrics.Disposition) {
-		if conn == nil {
-			done(acqDisp)
-			return
-		}
-		a.callTarget(req, deadline, e, conn, start, prof, critical, done)
-	})
-}
-
-// callTarget runs one visit of edge e's destination: pick a member,
-// acquire a thread, run the burst, descend, then release the thread (and
-// the upstream connection) and report. conn is nil for unpooled edges.
-func (a *App) callTarget(req uint64, deadline sim.Time, e *edge, conn *connpool.Conn, start sim.Time, prof *resolvedProfile, critical bool, done func(metrics.Disposition)) {
-	n := e.dst
-	done = a.ledger(n, done)
-	be, err := n.balancer.Pick()
-	if err != nil {
-		if conn != nil {
-			conn.Release()
-		}
-		if errors.Is(err, lb.ErrGuarded) {
-			a.reqTracer.Record(req, trace.EventBreakerOpen, n.spec.Name, "", a.eng.Now())
-		}
-		done(pickDisposition(err))
-		return
-	}
-	m, ok := n.members[be.Name()]
-	if !ok {
-		if conn != nil {
-			conn.Release()
-		}
-		done(metrics.DispositionError)
-		return
-	}
-	if !a.breakerAttempt(m) {
-		if conn != nil {
-			conn.Release()
-		}
-		a.reqTracer.Record(req, trace.EventBreakerOpen, n.spec.Name, m.Name(), a.eng.Now())
-		done(metrics.DispositionBreakerOpen)
-		return
-	}
-	m.srv.AcquireDeadlineCritical(req, deadline, critical, func(sess *server.Session, acqDisp metrics.Disposition) {
-		if sess == nil {
-			if conn != nil {
-				conn.Release()
-			}
-			a.breakerRecord(m, acqDisp)
-			done(acqDisp)
-			return
-		}
-		sess.ExecDemand(prof.demand[n.idx], func() {
-			if len(n.outs) == 0 && !n.isCache() {
-				// Leaf visit: the verdict is read right here, a crashed
-				// backend taking precedence over a deadline preemption —
-				// the chain's DB-query semantics.
-				killed := sess.Killed()
-				timedOut := sess.TimedOut()
-				sess.Release()
-				if conn != nil {
-					conn.Release()
-				}
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				switch {
-				case killed:
-					a.breakerRecord(m, metrics.DispositionError)
-					done(metrics.DispositionError)
-				case timedOut:
-					a.breakerRecord(m, metrics.DispositionTimeout)
-					done(metrics.DispositionTimeout)
-				default:
-					a.breakerRecord(m, metrics.DispositionOK)
-					done(metrics.DispositionOK)
-				}
-				return
-			}
-			if sess.TimedOut() {
-				sess.Release()
-				if conn != nil {
-					conn.Release()
-				}
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				a.breakerRecord(m, metrics.DispositionTimeout)
-				done(metrics.DispositionTimeout)
-				return
-			}
-			a.descend(req, deadline, n, m, prof, critical, func(disp metrics.Disposition) {
-				sess.Release()
-				if conn != nil {
-					conn.Release()
-				}
-				n.res.Observe((a.eng.Now() - start).Seconds())
-				if disp == metrics.DispositionOK && sess.Killed() {
-					disp = metrics.DispositionError
-				}
-				a.breakerRecord(m, disp)
-				done(disp)
-			})
-		})
-	})
 }

@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"dcm/internal/invariant"
+	"dcm/internal/metrics"
 	"dcm/internal/resilience"
 	"dcm/internal/rng"
+	"dcm/internal/server"
 	"dcm/internal/sim"
 	"dcm/internal/trace"
 )
@@ -316,5 +318,110 @@ func TestLRUCache(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want capacity 2", c.Len())
+	}
+}
+
+// TestWalkSteadyStateAllocs pins the walk's allocation contract: once the
+// free lists of visit and request records and the servers' and pools'
+// queues have grown to the working set, injecting a request and draining
+// it allocates nothing — on the calibrated chain and on the benchmark
+// diamond's parallel fan-out, serial call and pooled DB.
+func TestWalkSteadyStateAllocs(t *testing.T) {
+	chain, err := LoadSpec("../../topologies/chain3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{chain, benchDiamond()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			app, err := New(eng, rng.New(1).Split("app"), Config{Spec: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := 0
+			cb := func(time.Duration, bool) { done++ }
+			horizon := time.Duration(0)
+			drain := func() {
+				horizon += time.Second
+				if err := eng.Run(horizon); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				app.Inject(cb)
+			}
+			drain()
+			allocs := testing.AllocsPerRun(200, func() {
+				app.Inject(cb)
+				drain()
+			})
+			if done != 64+201 {
+				t.Fatalf("completed %d of %d requests", done, 64+201)
+			}
+			if allocs > 0 {
+				t.Fatalf("%v allocations per injected and drained request, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestParallelJoinReportsLowestIndexFailure pins the join's verdict when
+// several branches fail: the lowest-index failed branch's disposition,
+// whatever order the branches finish in. Two branches fan out to the two
+// replicas of b (round-robin: branch 0 on b-1, branch 1 on b-2). One
+// replica is saturated, so its branch is rejected at once; the other is
+// so degraded that its branch's burst is cut off at the deadline, a
+// timeout that lands later. The join adopts branch 0's disposition both
+// when branch 0 fails first and when it fails last.
+func TestParallelJoinReportsLowestIndexFailure(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name      string
+		saturated int // replica of b whose thread and queue slot are taken
+		want      metrics.Disposition
+	}{
+		{"branch 0 fails first", 0, metrics.DispositionRejected},
+		{"branch 0 fails last", 1, metrics.DispositionTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{
+				Name:  "join-order",
+				Entry: "a",
+				Nodes: []NodeSpec{
+					{Name: "a", Model: testModel(), Threads: 4},
+					{Name: "b", Model: testModel(), Threads: 1, Replicas: 2},
+				},
+				Edges: []EdgeSpec{{From: "a", To: "b", Kind: EdgeParallel, Visits: 2}},
+			}
+			res := resilience.Config{RequestTimeout: 100 * time.Millisecond, MaxQueue: 1}
+			eng, app, chk := newTestApp(t, spec, res)
+			members := app.Members("b")
+			full, slow := members[tc.saturated].Server(), members[1-tc.saturated].Server()
+			slow.SetDegradeFactor(1e6)
+			hold := func(sess *server.Session) {
+				sess.Exec(func() { eng.Schedule(time.Second, sess.Release) })
+			}
+			full.Acquire(hold) // takes the thread
+			full.Acquire(hold) // takes the one queue slot
+
+			var got []bool
+			app.Inject(func(_ time.Duration, ok bool) { got = append(got, ok) })
+			if err := eng.Run(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0] {
+				t.Fatalf("request outcomes %v, want one failure", got)
+			}
+			var want metrics.DispositionCounts
+			want.Observe(tc.want)
+			if d := app.Dispositions(); d != want {
+				t.Fatalf("dispositions %+v, want exactly one %v", d, tc.want)
+			}
+			b := app.NodeVisits()["b"].Dispositions
+			if b.Rejected != 1 || b.TimedOut != 1 {
+				t.Fatalf("node b ledger %+v, want one Rejected and one Timeout branch", b)
+			}
+			requireClean(t, app, chk)
+		})
 	}
 }

@@ -132,7 +132,8 @@ type Server struct {
 	accepting bool
 	dead      bool
 	noise     float64
-	queue     []*waiter
+	queue     []slot // queue[queueHead:] is the FIFO; the popped prefix is zeroed
+	queueHead int
 	queueDead int // timed-out waiters still occupying queue slots
 	maxQueue  int
 	// queueGrace grandfathers requests already queued when SetMaxQueue
@@ -255,8 +256,8 @@ func (s *Server) CheckInvariant() error {
 	if s.poolSize < 1 {
 		return fmt.Errorf("server %s: pool size %d below 1", s.name, s.poolSize)
 	}
-	if s.queueDead < 0 || s.queueDead > len(s.queue) {
-		return fmt.Errorf("server %s: queueDead %d outside [0, %d]", s.name, s.queueDead, len(s.queue))
+	if n := len(s.queue) - s.queueHead; s.queueDead < 0 || s.queueDead > n {
+		return fmt.Errorf("server %s: queueDead %d outside [0, %d]", s.name, s.queueDead, n)
 	}
 	if s.granted != s.released+uint64(s.active) {
 		return fmt.Errorf("server %s: grants %d != releases %d + active %d",
@@ -299,16 +300,46 @@ func (s *Server) SetDegradeFactor(f float64) {
 // DegradeFactor returns the current S0 multiplier (1 = healthy).
 func (s *Server) DegradeFactor() float64 { return s.degrade }
 
-// Session is one admitted request holding a server thread.
+// Session is one acquisition of a server thread. The same struct serves
+// first as the queued waiter (the outcome-aware callback plus the deadline
+// timer, enqueue time for CoDel, and criticality) and then, once granted,
+// as the held thread. Callers that acquire through AcquireInto own the
+// storage and may reuse it once it is idle again: after a failed
+// acquisition, or after Release.
 type Session struct {
-	s         *Server
+	s  *Server
+	fn func(*Session, metrics.Disposition)
+	// expireFn and burstFn are the deadline-timer and burst-completion
+	// event bodies, built once per storage so recycled storage schedules
+	// without allocating.
+	expireFn func()
+	burstFn  func()
+	onDone   func() // the running burst's completion callback
+
 	req       uint64
-	released  bool
-	executing bool
-	admitted  sim.Time
+	gen       uint64 // bumped whenever a queue slot naming this storage dies
+	enqueueAt sim.Time
 	deadline  sim.Time // zero = no deadline
-	timedOut  bool     // a burst was preempted by the deadline
+	timer     sim.Timer
+	burst     time.Duration // the running burst's drawn duration
+	critical  bool
+	queued    bool
+	released  bool // false only while a grant is held (never-used storage has s == nil)
+	executing bool
+	preempt   bool // the running burst is cut short at the deadline
+	timedOut  bool // a burst was preempted by the deadline
 }
+
+// slot is one queue entry: the waiting storage and the generation it was
+// queued under. A slot whose generation no longer matches its storage's
+// is dead — its waiter timed out or was failed — even if the storage has
+// since been reused for a newer acquisition.
+type slot struct {
+	w   *Session
+	gen uint64
+}
+
+func (q slot) live() bool { return q.gen == q.w.gen }
 
 // Deadline returns the request deadline carried by the session (zero
 // when none was set at acquisition).
@@ -317,20 +348,6 @@ func (sess *Session) Deadline() sim.Time { return sess.deadline }
 // TimedOut reports whether a burst on this session was preempted by the
 // deadline; the caller must fail the request.
 func (sess *Session) TimedOut() bool { return sess.timedOut }
-
-// waiter is one queued acquisition: the outcome-aware callback plus the
-// bookkeeping the resilience layer needs (deadline timer, enqueue time for
-// CoDel, and the done flag marking timed-out waiters that still occupy a
-// queue slot until lazily removed).
-type waiter struct {
-	fn        func(*Session, metrics.Disposition)
-	req       uint64
-	enqueueAt sim.Time
-	deadline  sim.Time
-	timer     sim.Timer
-	done      bool
-	critical  bool
-}
 
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
@@ -346,7 +363,7 @@ func (s *Server) Active() int { return s.active }
 
 // QueueLen returns the number of requests waiting for a thread. Timed-out
 // waiters whose slots have not been compacted yet do not count.
-func (s *Server) QueueLen() int { return len(s.queue) - s.queueDead }
+func (s *Server) QueueLen() int { return len(s.queue) - s.queueHead - s.queueDead }
 
 // Accepting reports whether the server is taking new work (load balancers
 // skip non-accepting servers; in-flight work is unaffected).
@@ -366,14 +383,15 @@ func (s *Server) Kill() {
 	}
 	s.dead = true
 	s.accepting = false
-	waiters := s.queue
-	s.queue = nil
+	waiters := s.queue[s.queueHead:]
+	s.queue, s.queueHead = nil, 0
 	s.queueDead = 0
-	for _, w := range waiters {
-		if w.done {
+	for _, q := range waiters {
+		if !q.live() {
 			continue
 		}
-		w.done = true
+		w := q.w
+		w.leaveQueue()
 		w.timer.Cancel()
 		s.failWaiter(w, metrics.DispositionError)
 	}
@@ -423,9 +441,23 @@ func (s *Server) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Session
 // AcquireDeadline, and a critical request never touches the CoDel state,
 // so class-free runs are byte-identical.
 func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical bool, fn func(*Session, metrics.Disposition)) {
+	s.AcquireInto(new(Session), req, deadline, critical, fn)
+}
+
+// AcquireInto is AcquireDeadlineCritical into caller-owned storage: sess
+// is queued while the request waits and becomes the granted session, so
+// fn receives sess itself (or nil with the failure's disposition). The
+// storage must be idle — never used, failed, or released — and acquiring
+// into storage still queued or still holding a thread panics. Reusing
+// idle storage allocates nothing.
+func (s *Server) AcquireInto(sess *Session, req uint64, deadline sim.Time, critical bool, fn func(*Session, metrics.Disposition)) {
 	if fn == nil {
 		return
 	}
+	if sess.queued || sess.s != nil && !sess.released {
+		panic("server: acquire into a session still queued or holding a thread")
+	}
+	sess.released = true
 	if s.dead {
 		fn(nil, metrics.DispositionError)
 		return
@@ -438,10 +470,12 @@ func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical
 		return
 	}
 	s.queueDepth.Observe(float64(s.QueueLen()))
-	w := &waiter{fn: fn, req: req, enqueueAt: now, deadline: deadline, critical: critical}
+	sess.s, sess.fn, sess.req = s, fn, req
+	sess.enqueueAt, sess.deadline, sess.critical = now, deadline, critical
+	sess.timer = sim.Timer{}
 	if s.active < s.poolSize && s.QueueLen() == 0 {
 		s.tracer.Record(req, trace.EventQueueEnter, s.tier, s.name, now)
-		s.grantWaiter(w)
+		s.grantWaiter(sess)
 		return
 	}
 	if s.maxQueue > 0 && s.QueueLen() >= s.maxQueue {
@@ -452,16 +486,28 @@ func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical
 	}
 	s.tracer.Record(req, trace.EventQueueEnter, s.tier, s.name, now)
 	if deadline > 0 {
-		w.timer = s.eng.Schedule(deadline-now, func() { s.timeoutWaiter(w) })
+		if sess.expireFn == nil {
+			sess.expireFn = sess.expire
+		}
+		sess.timer = s.eng.Schedule(deadline-now, sess.expireFn)
 	}
-	s.queue = append(s.queue, w)
+	sess.queued = true
+	s.enqueue(slot{w: sess, gen: sess.gen})
 	if s.QueueLen() > s.queuePeak {
 		s.queuePeak = s.QueueLen()
 	}
 }
 
+// leaveQueue retires the waiter's queue slot in place: the slot's
+// generation no longer matches, so it reads as dead until popped or
+// compacted, whatever the storage is used for next.
+func (sess *Session) leaveQueue() {
+	sess.queued = false
+	sess.gen++
+}
+
 // grantWaiter admits one request, accounting concurrency.
-func (s *Server) grantWaiter(w *waiter) {
+func (s *Server) grantWaiter(w *Session) {
 	s.active++
 	s.granted++
 	now := s.eng.Now()
@@ -480,24 +526,28 @@ func (s *Server) grantWaiter(w *waiter) {
 	s.concurrency.Set(now, float64(s.active))
 	s.queueWaits.Observe((now - w.enqueueAt).Seconds())
 	s.tracer.Record(w.req, trace.EventQueueExit, s.tier, s.name, now)
-	w.fn(&Session{s: s, req: w.req, admitted: now, deadline: w.deadline}, metrics.DispositionOK)
+	w.released, w.executing, w.timedOut = false, false, false
+	w.fn(w, metrics.DispositionOK)
 }
 
 // failWaiter completes a waiter without a session. The queue wait still
 // counts toward the wait statistics — a request that waited and then
 // failed waited all the same.
-func (s *Server) failWaiter(w *waiter, disp metrics.Disposition) {
+func (s *Server) failWaiter(w *Session, disp metrics.Disposition) {
 	s.queueWaits.Observe((s.eng.Now() - w.enqueueAt).Seconds())
 	w.fn(nil, disp)
 }
 
-// timeoutWaiter is the deadline timer body for a queued waiter: it marks
-// the slot dead (lazily removed) and fails the request.
-func (s *Server) timeoutWaiter(w *waiter) {
-	if w.done {
+// expire is the deadline timer body for a queued waiter.
+func (sess *Session) expire() { sess.s.timeoutWaiter(sess) }
+
+// timeoutWaiter marks a queued waiter's slot dead (lazily removed) and
+// fails the request.
+func (s *Server) timeoutWaiter(w *Session) {
+	if !w.queued {
 		return
 	}
-	w.done = true
+	w.leaveQueue()
 	s.queueDead++
 	s.timeouts.Inc(1)
 	s.tracer.Record(w.req, trace.EventTimeout, s.tier, s.name, s.eng.Now())
@@ -508,33 +558,48 @@ func (s *Server) timeoutWaiter(w *waiter) {
 // maybeCompactQueue drops dead waiter slots once they dominate the queue,
 // keeping QueueLen O(1) without paying O(n) per timeout.
 func (s *Server) maybeCompactQueue() {
-	if s.queueDead < 64 || s.queueDead*2 < len(s.queue) {
+	if s.queueDead < 64 || s.queueDead*2 < len(s.queue)-s.queueHead {
 		return
 	}
 	live := s.queue[:0]
-	for _, w := range s.queue {
-		if !w.done {
-			live = append(live, w)
+	for _, q := range s.queue[s.queueHead:] {
+		if q.live() {
+			live = append(live, q)
 		}
 	}
-	for i := len(live); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = live
+	clear(s.queue[len(live):])
+	s.queue, s.queueHead = live, 0
 	s.queueDead = 0
 }
 
+// enqueue appends a slot. The queue reuses its array: a drained queue
+// rewinds to the front, and a full one slides its slots down when at
+// least half the array is popped prefix, so steady queueing traffic
+// allocates nothing.
+func (s *Server) enqueue(q slot) {
+	if len(s.queue) == cap(s.queue) && s.queueHead > 0 && s.queueHead >= len(s.queue)/2 {
+		n := copy(s.queue, s.queue[s.queueHead:])
+		clear(s.queue[n:])
+		s.queue, s.queueHead = s.queue[:n], 0
+	}
+	s.queue = append(s.queue, q)
+}
+
 // popWaiter removes and returns the first live waiter (nil when none).
-func (s *Server) popWaiter() *waiter {
-	for len(s.queue) > 0 {
-		w := s.queue[0]
-		s.queue[0] = nil
-		s.queue = s.queue[1:]
-		if w.done {
+func (s *Server) popWaiter() *Session {
+	for s.queueHead < len(s.queue) {
+		q := s.queue[s.queueHead]
+		s.queue[s.queueHead] = slot{}
+		s.queueHead++
+		if s.queueHead == len(s.queue) {
+			s.queue, s.queueHead = s.queue[:0], 0
+		}
+		if !q.live() {
 			s.queueDead--
 			continue
 		}
-		return w
+		q.w.queued = false
+		return q.w
 	}
 	return nil
 }
@@ -652,31 +717,40 @@ func (sess *Session) ExecDemand(demand float64, onDone func()) {
 	// deadline. The truncated burst counts as neither a completion nor a
 	// service-time observation; the caller sees TimedOut() and must fail the
 	// request.
-	preempt := sess.deadline > 0 && now+d > sess.deadline
+	sess.preempt = sess.deadline > 0 && now+d > sess.deadline
 	run := d
-	if preempt {
+	if sess.preempt {
 		run = sess.deadline - now
 	}
+	sess.burst, sess.onDone = d, onDone
 	s.tracer.Record(sess.req, trace.EventServiceStart, s.tier, s.name, now)
 	s.cpu.Enter(now)
-	s.eng.Schedule(run, func() {
-		s.cpu.Exit(s.eng.Now())
-		sess.executing = false
-		s.executing--
-		if preempt {
-			sess.timedOut = true
-			s.timeouts.Inc(1)
-			s.tracer.Record(sess.req, trace.EventTimeout, s.tier, s.name, s.eng.Now())
-		} else {
-			s.completions.Inc(1)
-			s.execTimes.Observe(d.Seconds())
-			s.svcTimes.Observe(d.Seconds())
-			s.tracer.Record(sess.req, trace.EventServiceEnd, s.tier, s.name, s.eng.Now())
-		}
-		if onDone != nil {
-			onDone()
-		}
-	})
+	if sess.burstFn == nil {
+		sess.burstFn = sess.burstEnd
+	}
+	s.eng.Schedule(run, sess.burstFn)
+}
+
+// burstEnd is the burst-completion event body.
+func (sess *Session) burstEnd() {
+	s := sess.s
+	s.cpu.Exit(s.eng.Now())
+	sess.executing = false
+	s.executing--
+	if sess.preempt {
+		sess.timedOut = true
+		s.timeouts.Inc(1)
+		s.tracer.Record(sess.req, trace.EventTimeout, s.tier, s.name, s.eng.Now())
+	} else {
+		s.completions.Inc(1)
+		s.execTimes.Observe(sess.burst.Seconds())
+		s.svcTimes.Observe(sess.burst.Seconds())
+		s.tracer.Record(sess.req, trace.EventServiceEnd, s.tier, s.name, s.eng.Now())
+	}
+	if onDone := sess.onDone; onDone != nil {
+		sess.onDone = nil
+		onDone()
+	}
 }
 
 // burstDuration samples the Equation 5 service time at current concurrency

@@ -89,6 +89,11 @@ type ClosedLoop struct {
 
 	retrier *resilience.Retrier
 
+	// cycleFn and firstDone are userCycle and the first attempt's
+	// completion, built once so the steady cycle allocates nothing.
+	cycleFn   func()
+	firstDone func(rt time.Duration, ok bool)
+
 	// Class-mix state (nil/zero without classes — the class-free cycle is
 	// byte-identical to the original generator).
 	classes  []Class
@@ -118,7 +123,10 @@ func NewClosedLoop(eng *sim.Engine, rnd *rng.Rand, target Target, cfg ClosedLoop
 			cfg.Stagger = time.Second
 		}
 	}
-	return &ClosedLoop{eng: eng, rnd: rnd, target: target, cfg: cfg, want: cfg.Users}, nil
+	c := &ClosedLoop{eng: eng, rnd: rnd, target: target, cfg: cfg, want: cfg.Users}
+	c.cycleFn = c.userCycle
+	c.firstDone = func(rt time.Duration, ok bool) { c.attemptDone(1, rt, ok) }
+	return c, nil
 }
 
 // SetRetrier attaches a client-side retrier: a user whose request fails
@@ -226,7 +234,7 @@ func (c *ClosedLoop) SetUsers(n int) {
 		c.live++
 		delay := time.Duration(c.rnd.Uniform(0, float64(c.cfg.Stagger)))
 		if c.picker == nil {
-			c.eng.Schedule(delay, c.userCycle)
+			c.eng.Schedule(delay, c.cycleFn)
 			continue
 		}
 		// Class mode: the user draws a class and a session id at spawn and
@@ -255,31 +263,40 @@ func (c *ClosedLoop) userCycle() {
 // abandoned.
 func (c *ClosedLoop) startRequest(attempt int) {
 	c.issued.Inc(1)
-	c.target.Inject(func(rt time.Duration, ok bool) {
-		if ok {
-			c.completed.Inc(1)
-			c.rts.Observe(rt.Seconds())
-			if c.retrier != nil {
-				c.retrier.OnSuccess()
-			}
-		} else if c.retrier != nil && c.retrier.Allow(attempt) {
-			c.retries.Inc(1)
-			c.eng.Schedule(c.retrier.Backoff(attempt), func() {
-				// The user may have been retired (or the run stopped) while
-				// backing off.
-				if c.stopped || c.live > c.want {
-					c.live--
-					return
-				}
-				c.startRequest(attempt + 1)
-			})
-			return
-		} else {
-			c.errored.Inc(1)
+	if attempt == 1 {
+		c.target.Inject(c.firstDone)
+		return
+	}
+	c.target.Inject(func(rt time.Duration, ok bool) { c.attemptDone(attempt, rt, ok) })
+}
+
+// attemptDone handles one finished attempt of a user's request: record a
+// success, retry a failure after backoff while the retrier allows, and
+// otherwise think and cycle.
+func (c *ClosedLoop) attemptDone(attempt int, rt time.Duration, ok bool) {
+	if ok {
+		c.completed.Inc(1)
+		c.rts.Observe(rt.Seconds())
+		if c.retrier != nil {
+			c.retrier.OnSuccess()
 		}
-		think := c.thinkDelay(-1)
-		c.eng.Schedule(think, c.userCycle)
-	})
+	} else if c.retrier != nil && c.retrier.Allow(attempt) {
+		c.retries.Inc(1)
+		c.eng.Schedule(c.retrier.Backoff(attempt), func() {
+			// The user may have been retired (or the run stopped) while
+			// backing off.
+			if c.stopped || c.live > c.want {
+				c.live--
+				return
+			}
+			c.startRequest(attempt + 1)
+		})
+		return
+	} else {
+		c.errored.Inc(1)
+	}
+	think := c.thinkDelay(-1)
+	c.eng.Schedule(think, c.cycleFn)
 }
 
 // thinkDelay draws one think time: the class law if the class has one,
