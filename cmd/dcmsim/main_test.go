@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dcm/internal/trace"
@@ -25,6 +26,19 @@ func TestRunErrors(t *testing.T) {
 	const want = "-audit, -reqtrace not supported with -topology (only -seed, -timeout, -invariants and -pprof apply)"
 	if err == nil || err.Error() != want {
 		t.Fatalf("-topology with chain flags: err = %v, want %q", err, want)
+	}
+}
+
+// TestRunRejectsHostileVisits runs a topology whose parallel edge asks for
+// 10⁹ visits per request. It used to pass validation and stall the run
+// with no output; it must now fail fast with the loader's pinned error.
+func TestRunRejectsHostileVisits(t *testing.T) {
+	t.Parallel()
+	const path = "../../internal/graph/testdata/hostile-visits.json"
+	err := run([]string{"-topology", path, "-seed", "1"})
+	const want = "graph: invalid topology: edge a->b visits 1000000000 outside [0, 100] (in " + path + ")"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to contain %q", err, want)
 	}
 }
 

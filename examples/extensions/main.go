@@ -85,7 +85,7 @@ func run() error {
 		members := app.Members(ntier.TierApp)
 		if len(members) > 1 {
 			victim := members[len(members)-1].Name()
-			if err := app.FailServer(ntier.TierApp, victim); err == nil {
+			if err := app.FailMember(ntier.TierApp, victim); err == nil {
 				fmt.Printf("t=260s  injected crash of %s\n", victim)
 			}
 		}
@@ -111,7 +111,7 @@ func run() error {
 	fmt.Println("per-servlet traffic:")
 	fmt.Printf("  %-26s %12s %12s\n", "servlet", "completions", "mean RT (ms)")
 	for _, s := range ntier.DefaultServlets() {
-		st := app.ServletStats()[s.Name]
+		st := app.ProfileStats()[s.Name]
 		fmt.Printf("  %-26s %12d %12.1f\n", s.Name, st.Completions, st.MeanRTms)
 	}
 	fmt.Println()

@@ -47,7 +47,7 @@ func setup(t *testing.T) (*sim.Engine, *cloud.Hypervisor, *ntier.App, *fakeMon, 
 		t.Fatal(err)
 	}
 	mon := &fakeMon{}
-	va, err := NewVMAgent(eng, hv, app, mon)
+	va, err := NewVMAgent(eng, hv, app.Graph(), mon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func setup(t *testing.T) (*sim.Engine, *cloud.Hypervisor, *ntier.App, *fakeMon, 
 func TestNewAgentsValidation(t *testing.T) {
 	t.Parallel()
 	eng, hv, app, _, _ := setup(t)
-	if _, err := NewVMAgent(nil, hv, app, nil); !errors.Is(err, ErrBadAgent) {
+	if _, err := NewVMAgent(nil, hv, app.Graph(), nil); !errors.Is(err, ErrBadAgent) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := NewAppAgent(eng, nil); !errors.Is(err, ErrBadAgent) {

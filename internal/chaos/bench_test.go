@@ -65,11 +65,11 @@ func denseRun(sched Schedule, seed uint64) (uint64, error) {
 		return 0, err
 	}
 	hv := cloud.NewHypervisor(eng, 15*time.Second)
-	fleet, err := monitor.NewFleet(eng, bus.New(), app, time.Second)
+	fleet, err := monitor.NewFleet(eng, bus.New(), app.Graph(), time.Second)
 	if err != nil {
 		return 0, err
 	}
-	in, err := NewInjector(eng, rng.New(seed), app, hv, fleet, sched)
+	in, err := NewInjector(eng, rng.New(seed), app.Graph(), hv, fleet, sched)
 	if err != nil {
 		return 0, err
 	}

@@ -133,7 +133,7 @@ func harness(t *testing.T) (*sim.Engine, *ntier.App, *cloud.Hypervisor, *monitor
 			}
 		}
 	}
-	fleet, err := monitor.NewFleet(eng, bus.New(), app, time.Second)
+	fleet, err := monitor.NewFleet(eng, bus.New(), app.Graph(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func harness(t *testing.T) (*sim.Engine, *ntier.App, *cloud.Hypervisor, *monitor
 
 func install(t *testing.T, eng *sim.Engine, app *ntier.App, hv *cloud.Hypervisor, fleet *monitor.Fleet, seed uint64, s Schedule) *Injector {
 	t.Helper()
-	in, err := NewInjector(eng, rng.New(seed), app, hv, fleet, s)
+	in, err := NewInjector(eng, rng.New(seed), app.Graph(), hv, fleet, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestInjectorDeterministicVictims(t *testing.T) {
 		for _, name := range []string{"app-2", "app-3"} {
 			name := name
 			if _, err := hv.Launch(name, ntier.TierApp, func(*cloud.VM) {
-				if _, err := app.AddServer(ntier.TierApp, name); err != nil {
+				if _, err := app.AddMember(ntier.TierApp, name); err != nil {
 					t.Error(err)
 				}
 			}); err != nil {

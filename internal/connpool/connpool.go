@@ -218,22 +218,20 @@ func (p *Pool) Unleak(k int) {
 
 // Acquire requests a connection; fn runs as soon as one is available, in
 // FIFO order behind earlier waiters.
-func (p *Pool) Acquire(fn func(*Conn)) { p.AcquireFor(0, fn) }
-
-// AcquireFor is Acquire carrying the tracing request ID (0 = untraced).
-func (p *Pool) AcquireFor(req uint64, fn func(*Conn)) {
+func (p *Pool) Acquire(fn func(*Conn)) {
 	if fn == nil {
 		return
 	}
-	p.AcquireDeadline(req, 0, func(c *Conn, _ metrics.Disposition) { fn(c) })
+	p.AcquireDeadline(0, 0, func(c *Conn, _ metrics.Disposition) { fn(c) })
 }
 
-// AcquireDeadline is AcquireFor with resilience semantics: deadline (zero
-// = none) is the request's absolute deadline — a waiter still blocked when
-// it expires fails with DispositionTimeout and never consumes a
-// connection — and fn receives the disposition explaining a nil
-// connection (rejected by the waiter bound, or timeout). With a zero
-// deadline and no waiter bound this is exactly AcquireFor.
+// AcquireDeadline is Acquire with a tracing request ID (0 = untraced) and
+// resilience semantics: deadline (zero = none) is the request's absolute
+// deadline — a waiter still blocked when it expires fails with
+// DispositionTimeout and never consumes a connection — and fn receives
+// the disposition explaining a nil connection (rejected by the waiter
+// bound, or timeout). With a zero deadline and no waiter bound this is
+// exactly Acquire.
 func (p *Pool) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Conn, metrics.Disposition)) {
 	p.AcquireInto(new(Conn), req, deadline, fn)
 }

@@ -115,12 +115,12 @@ func New(eng *sim.Engine, app *ntier.App, ctrl controller.Controller, cfg Config
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	fleet, err := monitor.NewFleet(eng, b, app, cfg.MonitorInterval)
+	fleet, err := monitor.NewFleet(eng, b, app.Graph(), cfg.MonitorInterval)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	hv := cloud.NewHypervisor(eng, cfg.PrepDelay)
-	vmAgent, err := actuator.NewVMAgent(eng, hv, app, fleet)
+	vmAgent, err := actuator.NewVMAgent(eng, hv, app.Graph(), fleet)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -156,7 +156,7 @@ func TestQuietSystemScalesBackIn(t *testing.T) {
 	t.Parallel()
 	eng, app, fw := newSystem(t, ec2Controller(t))
 	// Pre-add a second app server so there is something to remove.
-	if _, err := app.AddServer(ntier.TierApp, ""); err != nil {
+	if _, err := app.AddMember(ntier.TierApp, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Start(); err != nil {
@@ -300,7 +300,7 @@ func TestControllerReplacesCrashedServer(t *testing.T) {
 	}
 	wl.Start()
 	eng.Schedule(40*time.Second, func() {
-		if err := app.FailServer(ntier.TierApp, "app-2"); err != nil {
+		if err := app.FailMember(ntier.TierApp, "app-2"); err != nil {
 			t.Errorf("fail: %v", err)
 		}
 	})

@@ -4,18 +4,19 @@ import (
 	"time"
 
 	"dcm/internal/controller"
-	"dcm/internal/ntier"
+	"dcm/internal/graph"
 	"dcm/internal/resilience"
 	"dcm/internal/sim"
 )
 
 // ForApp wires a supervisor to a running application: probes read the
-// app's lifetime counters and the app tier's queue-depth histograms,
-// actions drive the brownout shed, admission scaling and (when a retrier
-// is given) retry-budget tightening, and every transition lands in the
-// audit log (when one is given) under the brownout reason codes. retrier
-// and audit may be nil.
-func ForApp(eng *sim.Engine, app *ntier.App, ret *resilience.Retrier,
+// app's lifetime counters and the queue-depth histograms of the node
+// named queueNode (on the chain, the app tier), actions drive the
+// brownout shed, admission scaling and (when a retrier is given)
+// retry-budget tightening, and every transition lands in the audit log
+// (when one is given) under the brownout reason codes. retrier and audit
+// may be nil.
+func ForApp(eng *sim.Engine, app *graph.App, queueNode string, ret *resilience.Retrier,
 	audit *controller.AuditLog, cfg Config) (*Supervisor, error) {
 	probes := Probes{
 		Injected:  app.TotalInjected,
@@ -23,7 +24,7 @@ func ForApp(eng *sim.Engine, app *ntier.App, ret *resilience.Retrier,
 		Completed: app.TotalCompletions,
 		Sheds:     app.BrownoutSheds,
 		QueueDepth: func() (float64, uint64) {
-			return app.TierQueueDepthTotals(ntier.TierApp)
+			return app.NodeQueueDepthTotals(queueNode)
 		},
 	}
 	if ret != nil {

@@ -330,7 +330,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	var injector *chaos.Injector
 	if cfg.Chaos != nil {
-		injector, err = chaos.NewInjector(eng, root.Split("chaos"), app,
+		injector, err = chaos.NewInjector(eng, root.Split("chaos"), app.Graph(),
 			fw.Hypervisor(), fw.Fleet(), *cfg.Chaos)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario chaos: %w", err)
@@ -477,7 +477,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 func tierLatencySummaries(app *ntier.App) []TierHistogramSummary {
 	out := make([]TierHistogramSummary, 0, len(ntier.Tiers()))
 	for _, tierName := range ntier.Tiers() {
-		hs, err := app.TierHistograms(tierName)
+		hs, err := app.NodeHistograms(tierName)
 		if err != nil {
 			continue
 		}

@@ -13,8 +13,8 @@ import (
 	"dcm/internal/sim"
 )
 
-// The graph-equivalence differential suite. The ntier facade is required
-// to be a pure re-plumbing of the chain onto the graph engine: building
+// The graph-equivalence differential suite. ntier.New is required to be a
+// pure translation of the chain config into the graph engine: building
 // the application through ntier.New and building the same 3-node graph
 // directly through graph.New must produce byte-identical runs — same
 // event count, same rng consumption, same dispositions, same per-node
@@ -133,7 +133,7 @@ func TestGraphDirectMatchesFacade(t *testing.T) {
 				return snapshotGraph(eng, g)
 			}
 
-			facade := run(func(eng *sim.Engine) (*graph.App, func(arrival, func(time.Duration, bool))) {
+			viaNtier := run(func(eng *sim.Engine) (*graph.App, func(arrival, func(time.Duration, bool))) {
 				app, err := ntier.New(eng, rng.New(42).Split("app"), cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -160,11 +160,11 @@ func TestGraphDirectMatchesFacade(t *testing.T) {
 				}
 			})
 
-			if !reflect.DeepEqual(facade, direct) {
-				t.Fatalf("facade and direct-graph runs diverged:\nfacade: %+v\ndirect: %+v",
-					facade, direct)
+			if !reflect.DeepEqual(viaNtier, direct) {
+				t.Fatalf("ntier and direct-graph runs diverged:\nntier:  %+v\ndirect: %+v",
+					viaNtier, direct)
 			}
-			if facade.Completions == 0 {
+			if viaNtier.Completions == 0 {
 				t.Fatal("degenerate run: nothing completed")
 			}
 		})
@@ -172,8 +172,8 @@ func TestGraphDirectMatchesFacade(t *testing.T) {
 }
 
 // directGraphConfig maps an ntier chain config onto graph.Config exactly
-// as the facade does — reimplemented here (not shared) so a facade
-// mapping bug cannot hide by symmetry.
+// as ntier.New does — reimplemented here (not shared) so a mapping bug
+// cannot hide by symmetry.
 func directGraphConfig(cfg ntier.Config) graph.Config {
 	spec := graph.ChainSpec(
 		cfg.WebModel, cfg.AppModel, cfg.DBModel,
@@ -200,7 +200,7 @@ func directGraphConfig(cfg ntier.Config) graph.Config {
 		})
 	}
 	for _, c := range cfg.Classes {
-		// The facade fills class demand defaults during validation; mirror
+		// ntier.New fills class demand defaults during validation; mirror
 		// the filled values here.
 		appDemand, queries, queryDemand := c.AppDemand, c.Queries, c.QueryDemand
 		if appDemand == 0 {
@@ -227,8 +227,8 @@ func directGraphConfig(cfg ntier.Config) graph.Config {
 
 // TestGraphChainDigestPinned freezes the direct-graph chain run itself:
 // the digest below was captured when the graph engine landed and must
-// never drift — the graph walk is the byte-level contract the facade's
-// chain-mode digests (policyequiv) rest on.
+// never drift — the graph walk is the byte-level contract the ntier
+// chain's digests (policyequiv) rest on.
 func TestGraphChainDigestPinned(t *testing.T) {
 	t.Parallel()
 	cfg := equivChainConfig()

@@ -196,7 +196,7 @@ func RunRetryStormVariant(cfg RetryStormConfig, variant string) (RetryStormResul
 		Factor:   cfg.DegradeFactor,
 	}}}
 	hv := cloud.NewHypervisor(eng, 15*time.Second)
-	inj, err := chaos.NewInjector(eng, root.Split("chaos"), app, hv, nil, sched)
+	inj, err := chaos.NewInjector(eng, root.Split("chaos"), app.Graph(), hv, nil, sched)
 	if err != nil {
 		return RetryStormResult{}, fmt.Errorf("experiments: retry storm chaos: %w", err)
 	}
@@ -231,7 +231,7 @@ func RunRetryStormVariant(cfg RetryStormConfig, variant string) (RetryStormResul
 			return RetryStormResult{}, fmt.Errorf("experiments: retry storm degrade rules: %w", err)
 		}
 		audit = controller.NewAuditLog()
-		sup, err = degrade.ForApp(eng, app, ret, audit, degrade.FromRules(rules))
+		sup, err = degrade.ForApp(eng, app.Graph(), ntier.TierApp, ret, audit, degrade.FromRules(rules))
 		if err != nil {
 			return RetryStormResult{}, fmt.Errorf("experiments: retry storm degrade: %w", err)
 		}

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -179,6 +182,54 @@ func FuzzTopology(f *testing.F) {
 		if d.Total()+uint64(app.InFlight()) != uint64(inject) {
 			t.Fatalf("request leak: injected %d, dispositions %d, in flight %d",
 				inject, d.Total(), app.InFlight())
+		}
+	})
+}
+
+// FuzzParseSpec feeds raw bytes to the topology loader. It runs no
+// simulation, so no input can stall it. The loader must never panic,
+// every spec it accepts must validate again, stay under the visits
+// ceiling, and survive a JSON round trip unchanged.
+func FuzzParseSpec(f *testing.F) {
+	seeds, err := filepath.Glob("../../topologies/*.json")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no topology seeds: %v", err)
+	}
+	for _, path := range append(seeds, "testdata/hostile-visits.json") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("accepted spec fails validation: %v", err)
+		}
+		for _, e := range spec.Edges {
+			if e.Visits > MaxEdgeVisits {
+				t.Fatalf("accepted edge %s with %d visits", e.key(), e.Visits)
+			}
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseSpec(raw)
+		if err != nil {
+			t.Fatalf("marshalled spec rejected: %v\n%s", err, raw)
+		}
+		raw2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, raw2) {
+			t.Fatalf("round trip drifted:\n%s\n%s", raw, raw2)
 		}
 	})
 }

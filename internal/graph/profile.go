@@ -83,8 +83,8 @@ func (a *App) resolveProfile(p Profile, wrap error) (resolvedProfile, error) {
 	for i, e := range a.edges {
 		rp.visits[i] = e.spec.visitsOrDefault()
 		if v, ok := p.EdgeVisits[e.spec.key()]; ok {
-			if v < 0 {
-				return rp, fmt.Errorf("%w: profile %q edge %s visits %d", wrap, p.Name, e.spec.key(), v)
+			if v < 0 || v > MaxEdgeVisits {
+				return rp, fmt.Errorf("%w: profile %q edge %s visits %d outside [0, %d]", wrap, p.Name, e.spec.key(), v, MaxEdgeVisits)
 			}
 			rp.visits[i] = v
 		}

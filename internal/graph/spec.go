@@ -72,6 +72,14 @@ var (
 	ErrDanglingEdge = errors.New("graph: edge references unknown node")
 )
 
+// MaxEdgeVisits is the ceiling on an edge's visit ratio, both in a
+// topology and in a profile's per-edge override. Every visit is a
+// simulated call, so an unbounded ratio lets one request schedule
+// billions of events and stall a run without output; the ceiling sits
+// far above every ratio the checked-in topologies and servlet and class
+// mixes use (at most 4).
+const MaxEdgeVisits = 100
+
 // NodeSpec describes one service node of a topology.
 type NodeSpec struct {
 	// Name identifies the node ("web", "catalog", ...).
@@ -190,7 +198,7 @@ func LoadSpec(path string) (Spec, error) {
 	}
 	s, err := ParseSpec(data)
 	if err != nil {
-		return Spec{}, fmt.Errorf("%v (in %s)", err, path)
+		return Spec{}, fmt.Errorf("%w (in %s)", err, path)
 	}
 	return s, nil
 }
@@ -271,8 +279,8 @@ func (s Spec) Validate() error {
 		default:
 			return fmt.Errorf("%w: edge %s has unknown kind %q", ErrBadSpec, e.key(), e.Kind)
 		}
-		if e.Visits < 0 {
-			return fmt.Errorf("%w: edge %s visits %d", ErrBadSpec, e.key(), e.Visits)
+		if e.Visits < 0 || e.Visits > MaxEdgeVisits {
+			return fmt.Errorf("%w: edge %s visits %d outside [0, %d]", ErrBadSpec, e.key(), e.Visits, MaxEdgeVisits)
 		}
 		if e.PoolSize < 0 {
 			return fmt.Errorf("%w: edge %s pool size %d", ErrBadSpec, e.key(), e.PoolSize)

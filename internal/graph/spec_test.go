@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dcm/internal/model"
+	"dcm/internal/rng"
+	"dcm/internal/sim"
 )
 
 func testModel() model.Params {
@@ -92,6 +94,7 @@ func TestSpecValidateErrorClasses(t *testing.T) {
 			s.Edges[0].PoolSize = 4
 		}, ErrBadSpec},
 		{"negative-visits", func(s *Spec) { s.Edges[0].Visits = -1 }, ErrBadSpec},
+		{"visits-over-ceiling", func(s *Spec) { s.Edges[0].Visits = MaxEdgeVisits + 1 }, ErrBadSpec},
 		{"negative-pool", func(s *Spec) { s.Edges[0].PoolSize = -2 }, ErrBadSpec},
 		{"cycle", func(s *Spec) {
 			s.Nodes = append(s.Nodes, NodeSpec{Name: "c", Model: testModel(), Threads: 1})
@@ -174,5 +177,49 @@ func TestLoadSpecFiles(t *testing.T) {
 	}
 	if _, err := LoadSpec("../../topologies/nope.json"); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("missing file error %v, want ErrBadSpec", err)
+	}
+}
+
+// TestHostileVisitsRejected loads a two-node spec whose parallel edge asks
+// for 10⁹ visits per request. Before the visits ceiling it passed
+// validation and a single request stalled the run; it must now fail at
+// load time with the pinned error.
+func TestHostileVisitsRejected(t *testing.T) {
+	t.Parallel()
+	const path = "testdata/hostile-visits.json"
+	_, err := LoadSpec(path)
+	const want = "graph: invalid topology: edge a->b visits 1000000000 outside [0, 100] (in " + path + ")"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("err = %v, want ErrBadSpec", err)
+	}
+	s := minimalSpec()
+	s.Edges[0].Visits = MaxEdgeVisits
+	if err := s.Validate(); err != nil {
+		t.Fatalf("visits at the ceiling rejected: %v", err)
+	}
+}
+
+// TestProfileVisitsCeiling applies the same ceiling to per-profile visit
+// overrides, in both a mix and a class.
+func TestProfileVisitsCeiling(t *testing.T) {
+	t.Parallel()
+	over := map[string]int{"a->b": MaxEdgeVisits + 1}
+	_, err := New(sim.NewEngine(), rng.New(1), Config{
+		Spec: minimalSpec(),
+		Mix:  []Profile{{Name: "p", Weight: 1, EdgeVisits: over}},
+	})
+	const wantMix = `graph: invalid profile mix: profile "p" edge a->b visits 101 outside [0, 100]`
+	if err == nil || err.Error() != wantMix {
+		t.Fatalf("mix err = %v, want %q", err, wantMix)
+	}
+	_, err = New(sim.NewEngine(), rng.New(1), Config{
+		Spec:    minimalSpec(),
+		Classes: []Class{{Name: "c", Profile: Profile{EdgeVisits: over}}},
+	})
+	if !errors.Is(err, ErrBadClass) {
+		t.Fatalf("class err = %v, want ErrBadClass", err)
 	}
 }

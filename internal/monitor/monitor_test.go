@@ -22,7 +22,7 @@ func setup(t *testing.T) (*sim.Engine, *bus.Bus, *ntier.App, *Fleet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := NewFleet(eng, b, app, time.Second)
+	fleet, err := NewFleet(eng, b, app.Graph(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +32,13 @@ func setup(t *testing.T) (*sim.Engine, *bus.Bus, *ntier.App, *Fleet) {
 func TestNewFleetValidation(t *testing.T) {
 	t.Parallel()
 	eng, b, app, _ := setup(t)
-	if _, err := NewFleet(nil, b, app, 0); !errors.Is(err, ErrBadFleet) {
+	if _, err := NewFleet(nil, b, app.Graph(), 0); !errors.Is(err, ErrBadFleet) {
 		t.Fatalf("nil engine: %v", err)
 	}
-	if _, err := NewFleet(eng, nil, app, 0); !errors.Is(err, ErrBadFleet) {
+	if _, err := NewFleet(eng, nil, app.Graph(), 0); !errors.Is(err, ErrBadFleet) {
 		t.Fatalf("nil bus: %v", err)
 	}
-	f, err := NewFleet(eng, b, app, -time.Second)
+	f, err := NewFleet(eng, b, app.Graph(), -time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestAttachDetach(t *testing.T) {
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.AddServer(ntier.TierApp, "app-2"); err != nil {
+	if _, err := app.AddMember(ntier.TierApp, "app-2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fleet.Attach(ntier.TierApp, "app-2"); err != nil {

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"dcm/internal/graph"
-	"dcm/internal/metrics"
 )
 
 // RequestClass is one traffic class of a class-mixed workload: a named
@@ -73,15 +70,3 @@ func validateClasses(classes []RequestClass, queriesDefault int) error {
 	}
 	return nil
 }
-
-// ClassStat summarizes one traffic class's lifetime traffic (the graph
-// engine's record, with identical JSON).
-type ClassStat = graph.ClassStat
-
-// ClassStats returns cumulative per-class statistics in class order
-// (empty when no classes are configured).
-func (a *App) ClassStats() []ClassStat { return a.g.ClassStats() }
-
-// ClassDispositions returns the per-class disposition tally (nil when no
-// classes are configured).
-func (a *App) ClassDispositions() *metrics.ClassDispositions { return a.g.ClassDispositions() }

@@ -51,11 +51,12 @@ func TestClassDefaultsFilled(t *testing.T) {
 	cfg.QueriesPerRequest = 3
 	cfg.Classes = []RequestClass{{Name: "a"}, {Name: "b", Queries: 1, AppDemand: 2}}
 	_, app := newApp(t, cfg)
-	got := app.Config().Classes
-	if got[0].AppDemand != 1 || got[0].Queries != 3 || got[0].QueryDemand != 1 {
+	got := app.Graph().Config().Classes
+	queries := TierApp + "->" + TierDB
+	if a := got[0].Profile; a.NodeDemand[TierApp] != 1 || a.EdgeVisits[queries] != 3 || a.NodeDemand[TierDB] != 1 {
 		t.Fatalf("class a defaults not filled: %+v", got[0])
 	}
-	if got[1].AppDemand != 2 || got[1].Queries != 1 {
+	if b := got[1].Profile; b.NodeDemand[TierApp] != 2 || b.EdgeVisits[queries] != 1 {
 		t.Fatalf("class b overrides lost: %+v", got[1])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dcm/internal/graph"
 	"dcm/internal/model"
 	"dcm/internal/rng"
 	"dcm/internal/sim"
@@ -50,6 +51,31 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(nil, r, DefaultConfig()); err == nil {
 		t.Error("nil engine accepted")
+	}
+}
+
+// TestVisitsCeilingCoversQueries: every chain knob that sets the app→db
+// visit ratio is held to the graph's visits ceiling.
+func TestVisitsCeilingCoversQueries(t *testing.T) {
+	t.Parallel()
+	over := graph.MaxEdgeVisits + 1
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		want   error
+	}{
+		{"queries per request", func(c *Config) { c.QueriesPerRequest = over }, graph.ErrBadSpec},
+		{"servlet", func(c *Config) {
+			c.Servlets = []Servlet{{Name: "s", Weight: 1, AppDemand: 1, Queries: over, QueryDemand: 1}}
+		}, graph.ErrBadProfile},
+		{"class", func(c *Config) { c.Classes = []RequestClass{{Name: "c", Queries: over}} }, graph.ErrBadClass},
+	}
+	for _, tc := range cases {
+		cfg := fastConfig()
+		tc.mutate(&cfg)
+		if _, err := New(sim.NewEngine(), rng.New(1), cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -180,7 +206,7 @@ func TestConnPoolBoundsDBConcurrency(t *testing.T) {
 func TestAddServerSpreadsLoad(t *testing.T) {
 	t.Parallel()
 	eng, app := newApp(t, fastConfig())
-	if _, err := app.AddServer(TierApp, ""); err != nil {
+	if _, err := app.AddMember(TierApp, ""); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -199,13 +225,13 @@ func TestAddServerSpreadsLoad(t *testing.T) {
 func TestAddServerDuplicateName(t *testing.T) {
 	t.Parallel()
 	_, app := newApp(t, fastConfig())
-	if _, err := app.AddServer(TierApp, "x"); err != nil {
+	if _, err := app.AddMember(TierApp, "x"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.AddServer(TierApp, "x"); err == nil {
+	if _, err := app.AddMember(TierApp, "x"); err == nil {
 		t.Fatal("duplicate accepted")
 	}
-	if _, err := app.AddServer("ghost", ""); !errors.Is(err, ErrUnknownTier) {
+	if _, err := app.AddMember("ghost", ""); !errors.Is(err, graph.ErrUnknownNode) {
 		t.Fatalf("unknown tier err = %v", err)
 	}
 }
@@ -215,9 +241,15 @@ func TestSoftResourceActuation(t *testing.T) {
 	cfg := fastConfig()
 	cfg.AppServers = 2
 	_, app := newApp(t, cfg)
-	app.SetAppThreads(7)
-	app.SetDBConnsPerApp(4)
-	app.SetWebThreads(33)
+	if err := app.SetNodeThreads(TierApp, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SetEdgePoolSize(TierApp, TierDB, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SetNodeThreads(TierWeb, 33); err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range app.Members(TierApp) {
 		if m.Server().PoolSize() != 7 {
 			t.Fatalf("app pool = %d", m.Server().PoolSize())
@@ -233,7 +265,7 @@ func TestSoftResourceActuation(t *testing.T) {
 		t.Fatalf("allocation = %q", got)
 	}
 	// New servers inherit the adjusted allocation.
-	m, err := app.AddServer(TierApp, "")
+	m, err := app.AddMember(TierApp, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +292,7 @@ func TestDrainAndRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	if target.Server().Active() > 0 {
-		if err := app.RemoveServer(TierApp, "app-2"); err == nil {
+		if err := app.RemoveMember(TierApp, "app-2"); err == nil {
 			t.Fatal("removed a busy server")
 		}
 	}
@@ -270,7 +302,7 @@ func TestDrainAndRemove(t *testing.T) {
 	if !drained {
 		t.Fatal("drain callback never fired")
 	}
-	if err := app.RemoveServer(TierApp, "app-2"); err != nil {
+	if err := app.RemoveMember(TierApp, "app-2"); err != nil {
 		t.Fatal(err)
 	}
 	if app.ServerCount(TierApp) != 1 {
@@ -289,8 +321,8 @@ func TestDrainAndRemove(t *testing.T) {
 func TestDrainLastServerRejected(t *testing.T) {
 	t.Parallel()
 	_, app := newApp(t, fastConfig())
-	if err := app.StartDrain(TierApp, "app-1", nil); !errors.Is(err, ErrLastServer) {
-		t.Fatalf("err = %v, want ErrLastServer", err)
+	if err := app.StartDrain(TierApp, "app-1", nil); !errors.Is(err, graph.ErrLastMember) {
+		t.Fatalf("err = %v, want graph.ErrLastMember", err)
 	}
 }
 
@@ -299,7 +331,7 @@ func TestRemoveAcceptingServerRejected(t *testing.T) {
 	cfg := fastConfig()
 	cfg.DBServers = 2
 	_, app := newApp(t, cfg)
-	if err := app.RemoveServer(TierDB, "db-1"); err == nil {
+	if err := app.RemoveMember(TierDB, "db-1"); err == nil {
 		t.Fatal("removed an accepting server without drain")
 	}
 }
@@ -307,10 +339,10 @@ func TestRemoveAcceptingServerRejected(t *testing.T) {
 func TestMemberLookupErrors(t *testing.T) {
 	t.Parallel()
 	_, app := newApp(t, fastConfig())
-	if _, err := app.Member(TierApp, "nope"); !errors.Is(err, ErrUnknownServer) {
+	if _, err := app.Member(TierApp, "nope"); !errors.Is(err, graph.ErrUnknownMember) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := app.Member("ghost", "x"); !errors.Is(err, ErrUnknownTier) {
+	if _, err := app.Member("ghost", "x"); !errors.Is(err, graph.ErrUnknownNode) {
 		t.Fatalf("err = %v", err)
 	}
 	if app.Members("ghost") != nil {

@@ -50,9 +50,9 @@ func TestRequestTracerEndToEnd(t *testing.T) {
 			t.Errorf("tier %s has no service spans", tier)
 		}
 	}
-	if byTier[TierApp].PoolWait.Count != n*app.Config().QueriesPerRequest {
+	if byTier[TierApp].PoolWait.Count != n*fastConfig().QueriesPerRequest {
 		t.Errorf("app pool waits = %d, want %d",
-			byTier[TierApp].PoolWait.Count, n*app.Config().QueriesPerRequest)
+			byTier[TierApp].PoolWait.Count, n*fastConfig().QueriesPerRequest)
 	}
 	if byTier[TierWeb].PoolWait.Count != 0 {
 		t.Errorf("web tier has pool waits: %d", byTier[TierWeb].PoolWait.Count)
@@ -75,7 +75,7 @@ func TestTraceCapturesServiceSpans(t *testing.T) {
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{TierWeb: 1, TierApp: 1, TierDB: app.Config().QueriesPerRequest}
+	want := map[string]int{TierWeb: 1, TierApp: 1, TierDB: fastConfig().QueriesPerRequest}
 	for req := uint64(1); req <= n; req++ {
 		var arrive, done time.Duration = -1, -1
 		starts := map[string]int{}
@@ -123,7 +123,7 @@ func TestTraceCapturesServiceSpans(t *testing.T) {
 func TestTraceFailedRequest(t *testing.T) {
 	t.Parallel()
 	eng, app := newApp(t, fastConfig())
-	if err := app.FailServer(TierDB, "db-1"); err != nil {
+	if err := app.FailMember(TierDB, "db-1"); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.NewRequestTracer(0)
@@ -229,7 +229,7 @@ func TestTierHistogramsMergeMembers(t *testing.T) {
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	hs, err := app.TierHistograms(TierApp)
+	hs, err := app.NodeHistograms(TierApp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +250,14 @@ func TestTierHistogramsMergeMembers(t *testing.T) {
 	if sum != hs.ServiceTime.Count() {
 		t.Fatalf("member sum %d != tier %d", sum, hs.ServiceTime.Count())
 	}
-	web, err := app.TierHistograms(TierWeb)
+	web, err := app.NodeHistograms(TierWeb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if web.PoolWait != nil {
 		t.Fatal("web tier has a pool-wait histogram")
 	}
-	if _, err := app.TierHistograms("bogus"); err == nil {
+	if _, err := app.NodeHistograms("bogus"); err == nil {
 		t.Fatal("unknown tier accepted")
 	}
 }
@@ -284,7 +284,7 @@ func TestDrainCompletesUnderConnLeak(t *testing.T) {
 	if !drained {
 		t.Fatal("drain never completed under an unrepaired conn leak")
 	}
-	if err := app.RemoveServer(TierApp, victim.Name()); err != nil {
+	if err := app.RemoveMember(TierApp, victim.Name()); err != nil {
 		t.Fatalf("remove after drain: %v", err)
 	}
 }

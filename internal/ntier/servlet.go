@@ -3,8 +3,6 @@ package ntier
 import (
 	"errors"
 	"fmt"
-
-	"dcm/internal/graph"
 )
 
 // Servlet is one request class of the application. RUBBoS provides 24
@@ -86,11 +84,3 @@ func MixMeans(servlets []Servlet) (meanAppDemand, meanQueries float64) {
 	}
 	return meanAppDemand, meanQueries
 }
-
-// ServletStat summarizes one request class's traffic (the graph engine's
-// per-profile statistic, with identical JSON).
-type ServletStat = graph.ProfileStat
-
-// ServletStats returns cumulative per-class statistics (empty when the
-// single-class flow is active).
-func (a *App) ServletStats() map[string]ServletStat { return a.g.ProfileStats() }

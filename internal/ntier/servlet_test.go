@@ -70,7 +70,7 @@ func TestServletMixDistribution(t *testing.T) {
 	if err := eng.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	stats := app.ServletStats()
+	stats := app.ProfileStats()
 	light, heavy := stats["light"], stats["heavy"]
 	if light.Completions+heavy.Completions != total {
 		t.Fatalf("per-class totals %d + %d != %d", light.Completions, heavy.Completions, total)

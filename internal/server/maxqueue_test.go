@@ -28,7 +28,7 @@ func newBoundedServer(t *testing.T, pool, maxQueue int) (*sim.Engine, *Server) {
 // of rejected admissions.
 func fill(srv *Server, n int, rejected *int) {
 	for i := 0; i < n; i++ {
-		srv.AcquireDeadlineCritical(uint64(i+1), 0, false, func(sess *Session, d metrics.Disposition) {
+		srv.AcquireDeadline(uint64(i+1), 0, func(sess *Session, d metrics.Disposition) {
 			if sess == nil {
 				if d == metrics.DispositionRejected {
 					*rejected++

@@ -408,48 +408,40 @@ func (sess *Session) Killed() bool { return sess.s.dead }
 // thread is available — immediately if the pool has room, otherwise in FIFO
 // order as threads free up. On a dead server fn is invoked immediately
 // with a nil session: the caller must treat that as a failed request.
-func (s *Server) Acquire(fn func(*Session)) { s.AcquireFor(0, fn) }
-
-// AcquireFor is Acquire carrying the tracing request ID (0 = untraced).
-// The session remembers the ID so burst events attribute to the request.
-func (s *Server) AcquireFor(req uint64, fn func(*Session)) {
+func (s *Server) Acquire(fn func(*Session)) {
 	if fn == nil {
 		return
 	}
-	s.AcquireDeadline(req, 0, func(sess *Session, _ metrics.Disposition) { fn(sess) })
+	s.AcquireDeadline(0, 0, func(sess *Session, _ metrics.Disposition) { fn(sess) })
 }
 
-// AcquireDeadline is AcquireFor with resilience semantics: deadline (zero
-// = none) is the request's absolute deadline — a waiter still queued when
-// it expires fails with DispositionTimeout and never occupies a thread —
-// and fn receives the disposition explaining a nil session (error on a
-// dead server, rejected by the bounded queue, shed by CoDel, or timeout).
-// With a zero deadline and admission control off this is exactly
-// AcquireFor.
+// AcquireDeadline is Acquire with a tracing request ID (0 = untraced; the
+// session remembers it so burst events attribute to the request) and
+// resilience semantics: deadline (zero = none) is the request's absolute
+// deadline — a waiter still queued when it expires fails with
+// DispositionTimeout and never occupies a thread — and fn receives the
+// disposition explaining a nil session (error on a dead server, rejected
+// by the bounded queue, shed by CoDel, or timeout). With a zero deadline
+// and admission control off this is exactly Acquire.
 func (s *Server) AcquireDeadline(req uint64, deadline sim.Time, fn func(*Session, metrics.Disposition)) {
-	s.AcquireDeadlineCritical(req, deadline, false, fn)
+	s.AcquireInto(new(Session), req, deadline, false, fn)
 }
 
-// AcquireDeadlineCritical is AcquireDeadline with a criticality flag:
-// critical requests (high-priority traffic classes) are never shed by the
+// AcquireInto is AcquireDeadline into caller-owned storage, with a
+// criticality flag: sess is queued while the request waits and becomes
+// the granted session, so fn receives sess itself (or nil with the
+// failure's disposition). The storage must be idle — never used, failed,
+// or released — and acquiring into storage still queued or still holding
+// a thread panics. Reusing idle storage allocates nothing.
+//
+// Critical requests (high-priority traffic classes) are never shed by the
 // CoDel dequeue check — load shedding sacrifices best-effort traffic
 // first. Criticality is admission priority only: critical requests still
 // queue FIFO behind earlier arrivals, still bounce off a full bounded
 // queue and still time out against their deadline, so a flood of critical
 // traffic degrades like any overload instead of bypassing admission
-// control entirely. With critical == false this is exactly
-// AcquireDeadline, and a critical request never touches the CoDel state,
-// so class-free runs are byte-identical.
-func (s *Server) AcquireDeadlineCritical(req uint64, deadline sim.Time, critical bool, fn func(*Session, metrics.Disposition)) {
-	s.AcquireInto(new(Session), req, deadline, critical, fn)
-}
-
-// AcquireInto is AcquireDeadlineCritical into caller-owned storage: sess
-// is queued while the request waits and becomes the granted session, so
-// fn receives sess itself (or nil with the failure's disposition). The
-// storage must be idle — never used, failed, or released — and acquiring
-// into storage still queued or still holding a thread panics. Reusing
-// idle storage allocates nothing.
+// control entirely. A critical request never touches the CoDel state, so
+// class-free runs are byte-identical.
 func (s *Server) AcquireInto(sess *Session, req uint64, deadline sim.Time, critical bool, fn func(*Session, metrics.Disposition)) {
 	if fn == nil {
 		return
